@@ -39,6 +39,9 @@ from .device import (
 
 _SEL_MAGIC = b"MRSL"
 _SEL_VERSION = 1
+# magic, version, num_addresses, word_width, th_l, th_u, n_measurements, entry count
+_SEL_HEADER = struct.Struct("<4sHIHHHII")
+_SEL_ENTRY = np.dtype([("addr", "<u4"), ("mask", "<u2")])
 
 DEFAULT_SWEEP_TW_NS = (15.0, 10.0, 5.0, 2.5)
 
@@ -67,10 +70,6 @@ class FlipCountVector:
     @property
     def num_cells(self) -> int:
         return self.counts.size
-
-    @property
-    def max_possible(self) -> int:
-        return self.n_measurements - 1
 
 
 def count_flips(matrix: MeasurementMatrix) -> FlipCountVector:
@@ -150,8 +149,7 @@ class CellSelection:
         a mask (MSB first) marks cell address*16+j as selected."""
         per_addr = self.mask.reshape(self.num_addresses, self.word_width)
         addrs = np.flatnonzero(per_addr.any(axis=1))
-        packed = np.packbits(per_addr[addrs], axis=1)
-        masks = (packed[:, 0].astype(np.uint16) << 8) | packed[:, 1]
+        masks = np.packbits(per_addr[addrs], axis=1).view(">u2")[:, 0]
         return addrs.astype(np.uint32), masks.astype(np.uint16)
 
 
@@ -227,12 +225,8 @@ class TimingSweepResult:
     pattern: DataPattern
     env: Environment
     n_measurements: int
-
-    def error_at(self, t_w_ns: float) -> float:
-        for p in self.points:
-            if p.t_w_ns == t_w_ns:
-                return p.error_fraction
-        raise KeyError(f"t_w={t_w_ns} ns not in sweep")
+    # the campaign at the width choose_tw picks, so callers can reuse it
+    campaign: MeasurementMatrix | None = None
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -240,6 +234,10 @@ class TimingSweepResult:
             w.writerow(["t_w_ns", "error_fraction"])
             for p in self.points:
                 w.writerow([f"{p.t_w_ns:g}", f"{p.error_fraction:.6f}"])
+
+
+def _pick_key(p: SweepPoint) -> tuple[float, float]:
+    return p.error_fraction, p.t_w_ns
 
 
 def sweep_tw(
@@ -258,16 +256,18 @@ def sweep_tw(
     for t_w in tw_list:
         m = measure(chip, pattern, TimingParams.reduced(t_w), env, n=n)
         points.append(SweepPoint(t_w_ns=float(t_w), error_fraction=m.error_fraction()))
+        if max(points, key=_pick_key) is points[-1]:
+            campaign = m
+        del m  # so at most two campaigns are alive during the next measure
     return TimingSweepResult(
-        points=tuple(points), pattern=pattern, env=env, n_measurements=n
+        points=tuple(points), pattern=pattern, env=env, n_measurements=n, campaign=campaign
     )
 
 
 def choose_tw(sweep: TimingSweepResult) -> float:
     """The harvesting pulse width: maximum error rate, ties to the wider
     (gentler) pulse."""
-    best = max(sweep.points, key=lambda p: (p.error_fraction, p.t_w_ns))
-    return best.t_w_ns
+    return max(sweep.points, key=_pick_key).t_w_ns
 
 
 # --- persistence -----------------------------------------------------------
@@ -277,22 +277,20 @@ def selection_to_bytes(sel: CellSelection) -> bytes:
     """The compact binary form: only addresses holding selected cells,
     with a 16-bit per-address mask."""
     addrs, masks = sel.address_words()
-    parts = [
+    entries = np.empty(addrs.size, dtype=_SEL_ENTRY)
+    entries["addr"] = addrs
+    entries["mask"] = masks
+    header = _SEL_HEADER.pack(
         _SEL_MAGIC,
-        struct.pack(
-            "<HIHHHI",
-            _SEL_VERSION,
-            sel.num_addresses,
-            sel.word_width,
-            sel.th_l,
-            sel.th_u,
-            sel.n_measurements,
-        ),
-        struct.pack("<I", len(addrs)),
-    ]
-    for a, m in zip(addrs, masks):
-        parts.append(struct.pack("<IH", int(a), int(m)))
-    return b"".join(parts)
+        _SEL_VERSION,
+        sel.num_addresses,
+        sel.word_width,
+        sel.th_l,
+        sel.th_u,
+        sel.n_measurements,
+        entries.size,
+    )
+    return header + entries.tobytes()
 
 
 def selection_digest(sel: CellSelection) -> str:
@@ -308,27 +306,33 @@ def save_selection(sel: CellSelection, path: str | Path) -> None:
 
 
 def load_selection(path: str | Path) -> CellSelection:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SEL_MAGIC:
-            raise ValueError(f"{path}: not a selection file (bad magic)")
-        version, num_addresses, word_width, th_l, th_u, n_meas = struct.unpack(
-            "<HIHHHI", fh.read(16)
+    data = Path(path).read_bytes()
+    if data[:4] != _SEL_MAGIC:
+        raise ValueError(f"{path}: not a selection file (bad magic)")
+    if len(data) < _SEL_HEADER.size:
+        raise ValueError(f"{path}: truncated selection file header")
+    _, version, num_addresses, word_width, th_l, th_u, n_meas, n_entries = _SEL_HEADER.unpack_from(data)
+    if version != _SEL_VERSION:
+        raise ValueError(f"{path}: unsupported selection file version {version}")
+    if word_width != WORD_WIDTH:
+        raise ValueError(f"{path}: word width must be {WORD_WIDTH}, got {word_width}")
+    if len(data) != _SEL_HEADER.size + n_entries * _SEL_ENTRY.itemsize:
+        raise ValueError(
+            f"{path}: header lists {n_entries} entries but the file size is {len(data)} bytes"
         )
-        if version != _SEL_VERSION:
-            raise ValueError(f"{path}: unsupported selection file version {version}")
-        (n_entries,) = struct.unpack("<I", fh.read(4))
-        mask = np.zeros(num_addresses * word_width, dtype=bool)
-        for _ in range(n_entries):
-            buf = fh.read(6)
-            if len(buf) != 6:
-                raise ValueError(f"{path}: truncated selection file")
-            addr, bits16 = struct.unpack("<IH", buf)
-            for j in range(word_width):
-                if bits16 & (1 << (word_width - 1 - j)):
-                    mask[addr * word_width + j] = True
+    entries = np.frombuffer(data, dtype=_SEL_ENTRY, offset=_SEL_HEADER.size)
+    if n_entries and int(entries["addr"].max()) >= num_addresses:
+        raise ValueError(
+            f"{path}: address {int(entries['addr'].max())} out of range for "
+            f"{num_addresses} addresses"
+        )
+    # bit j of a mask, MSB first, is cell address*16+j
+    mask_bytes = entries["mask"].astype(">u2").view(np.uint8).reshape(-1, 2)
+    per_addr = np.zeros((num_addresses, word_width), dtype=bool)
+    per_addr[entries["addr"]] = np.unpackbits(mask_bytes, axis=1).astype(bool)
     return CellSelection(
-        mask=mask,
-        flip_counts=np.zeros(mask.size, dtype=np.int64),  # not stored on disk
+        mask=per_addr.reshape(-1),
+        flip_counts=np.zeros(per_addr.size, dtype=np.int64),  # not stored on disk
         n_measurements=n_meas,
         th_l=th_l,
         th_u=th_u,

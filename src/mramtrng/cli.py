@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .characterize import (
+    CellSelection,
     SelectionThresholds,
     classify_cells,
     count_flips,
@@ -51,12 +52,11 @@ from .extract import (
     condition,
     harvest,
     load_bitstream,
-    load_bitstream_ascii,
     required_rounds,
     save_bitstream,
     save_provenance,
 )
-from .sts import BatteryConfig, run_battery
+from .sts import BatteryConfig, import_sts, run_battery
 from .throughput import (
     REFERENCE_T_HASH_NS,
     REFERENCE_T_RW_NS,
@@ -158,8 +158,8 @@ def _require_seed(args: argparse.Namespace) -> int:
     seed = _opt(args, "seed", int)
     if seed is None:
         raise UsageError("--seed is required (or set MRTG_SEED)")
-    if seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
+    if not 0 <= seed < 2**64:
+        raise UsageError("--seed must be an integer in [0, 2**64)")
     return seed
 
 
@@ -186,6 +186,34 @@ def _report_header(title: str, chip: ChipModel, digest: str) -> str:
         f"# chip: {chip.chip_id}  seed: {chip.seed}\n"
         f"# config sha256: {digest}\n"
     )
+
+
+def _generate_into(out: Path, chip: ChipModel, sel: CellSelection, tw: float, bits: int, env: Environment):
+    """Harvest and condition, then write raw.bits, conditioned.bits and
+    provenance.json into ``out``; returns (raw, conditioned)."""
+    block = BlockParams()
+    rounds = required_rounds(bits, sel.num_randcell, block)
+    raw = harvest(chip, sel, rounds=rounds, timing=TimingParams.reduced(tw), env=env)
+    conditioned = condition(raw, block)
+    save_bitstream(raw, out / "raw.bits")
+    save_bitstream(conditioned, out / "conditioned.bits")
+    save_provenance(conditioned, out / "provenance.json")
+    return raw, conditioned
+
+
+def _reference_inputs(sel: CellSelection) -> ThroughputInputs:
+    """Rate-model inputs from the reference part timings."""
+    return ThroughputInputs(
+        t_rw_ns=REFERENCE_T_RW_NS,
+        t_hash_ns=REFERENCE_T_HASH_NS,
+        bits_per_rand_addr=sel.bits_per_rand_addr,
+    )
+
+
+def _battery_report(streams, fmt: str):
+    """Run the battery; returns (summary, report body in ``fmt``)."""
+    summary = run_battery(streams, BatteryConfig())
+    return summary, summary.to_csv() if fmt == "csv" else summary.report() + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -259,18 +287,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_EMPTY_SELECTION
     tw = _opt(args, "tw", float, 2.5)
     bits = _opt(args, "bits", int, 1_000_000)
-    env = _environment(args)
-    block = BlockParams()
-    rounds = required_rounds(bits, sel.num_randcell, block)
-    raw = harvest(chip, sel, rounds=rounds, timing=TimingParams.reduced(tw), env=env)
-    conditioned = condition(raw, block)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
-    save_bitstream(raw, out / "raw.bits")
-    save_bitstream(conditioned, out / "conditioned.bits")
-    save_provenance(conditioned, out / "provenance.json")
+    raw, conditioned = _generate_into(out, chip, sel, tw, bits, _environment(args))
     print(
-        f"harvested {len(raw)} raw bits over {rounds} rounds, "
+        f"harvested {len(raw)} raw bits over {raw.provenance['rounds']} rounds, "
         f"conditioned to {len(conditioned)} bits"
     )
     print(f"wrote raw.bits, conditioned.bits, provenance.json to {out}")
@@ -284,10 +305,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         if p.suffix in (".bits", ".bin"):
             seqs.append(load_bitstream(p, kind="raw").bits)
         else:
-            seqs.append(load_bitstream_ascii(p, kind="raw").bits)
-    summary = run_battery(seqs, BatteryConfig())
-    fmt = _format(args)
-    body = summary.to_csv() if fmt == "csv" else summary.report() + "\n"
+            seqs.append(import_sts(p).bits)
+    summary, body = _battery_report(seqs, _format(args))
     out = _opt(args, "out", str)
     if out is not None:
         Path(out).write_text(body, encoding="utf-8")
@@ -308,11 +327,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
         tw = _opt(args, "tw", float, 2.5)
         inputs = measure_pipeline_times(chip, sel, TimingParams.reduced(tw), _environment(args))
     else:
-        inputs = ThroughputInputs(
-            t_rw_ns=REFERENCE_T_RW_NS,
-            t_hash_ns=REFERENCE_T_HASH_NS,
-            bits_per_rand_addr=sel.bits_per_rand_addr,
-        )
+        inputs = _reference_inputs(sel)
     estimate = throughput(inputs)
     print(format_estimate(inputs, estimate))
     return EXIT_OK
@@ -339,7 +354,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         tw = choose_tw(sweep)
     print(f"harvest pulse width: {tw} ns")
 
-    matrix = measure(chip, DataPattern.solid(0), TimingParams.reduced(tw), env, n=n)
+    # the sweep already ran the campaign at the width it picked
+    matrix = sweep.campaign
+    if tw != matrix.t_w_ns:
+        matrix = measure(chip, DataPattern.solid(0), TimingParams.reduced(tw), env, n=n)
     fc = count_flips(matrix)
     thresholds = _thresholds(args, n)
     sel = select_cells(fc, thresholds)
@@ -362,30 +380,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"({sel.bits_per_rand_addr:.2f} bits/address, digest {selection_digest(sel)[:16]})"
     )
 
-    block = BlockParams()
-    rounds = required_rounds(bits, sel.num_randcell, block)
-    raw = harvest(chip, sel, rounds=rounds, timing=TimingParams.reduced(tw), env=env)
-    conditioned = condition(raw, block)
-    save_bitstream(raw, out / "raw.bits")
-    save_bitstream(conditioned, out / "conditioned.bits")
-    save_provenance(conditioned, out / "provenance.json")
+    _, conditioned = _generate_into(out, chip, sel, tw, bits, env)
 
     n_streams = max(1, len(conditioned) // PIPELINE_STREAM_BITS)
     stream_len = PIPELINE_STREAM_BITS if len(conditioned) >= PIPELINE_STREAM_BITS else len(conditioned)
     streams = [
         conditioned.bits[i * stream_len : (i + 1) * stream_len] for i in range(n_streams)
     ]
-    summary = run_battery(streams, BatteryConfig())
-    header = _report_header("statistical battery", chip, digest)
-    body = summary.to_csv() if fmt == "csv" else summary.report() + "\n"
+    summary, body = _battery_report(streams, fmt)
     name = "battery.csv" if fmt == "csv" else "battery.txt"
-    (out / name).write_text(header + body, encoding="utf-8")
+    (out / name).write_text(_report_header("statistical battery", chip, digest) + body, encoding="utf-8")
 
-    inputs = ThroughputInputs(
-        t_rw_ns=REFERENCE_T_RW_NS,
-        t_hash_ns=REFERENCE_T_HASH_NS,
-        bits_per_rand_addr=sel.bits_per_rand_addr,
-    )
+    inputs = _reference_inputs(sel)
     estimate = throughput(inputs)
     (out / "throughput.txt").write_text(
         _report_header("throughput estimate", chip, digest)

@@ -474,13 +474,6 @@ class ChipModel:
     def rng(self) -> CounterRng:
         return self._rng
 
-    def save(self, path: str | Path) -> None:
-        save_chip(self, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ChipModel":
-        return load_chip(path)
-
 
 def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> ChipModel:
     """Sample a cell population from ``config``; deterministic in (config, seed)."""
@@ -685,10 +678,9 @@ class MeasurementMatrix:
 
     def error_fraction(self) -> float:
         """Mean fraction of readout bits that disagree with the written data."""
-        return float(np.mean(self.bits != self.written[None, :]))
-
-    def row_error_fractions(self) -> np.ndarray:
-        return np.mean(self.bits != self.written[None, :], axis=1)
+        # row by row: a full-size comparison temporary would raise a sweep's peak RSS
+        errors = sum(int(np.count_nonzero(row != self.written)) for row in self.bits)
+        return errors / self.bits.size
 
 
 def measure(

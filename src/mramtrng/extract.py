@@ -137,8 +137,7 @@ def condition(raw: Bitstream, block: BlockParams = BlockParams()) -> Bitstream:
 
 
 # --- persistence -----------------------------------------------------------
-# binary form: u64 little-endian bit count, then MSB-first packed bytes;
-# ASCII form: '0'/'1' characters for suite-compatible input files.
+# binary form: u64 little-endian bit count, then MSB-first packed bytes.
 
 
 def save_bitstream(bs: Bitstream, path: str | Path) -> None:
@@ -158,21 +157,6 @@ def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
     if len(payload) < n_bytes:
         raise ValueError(f"{path}: truncated bitstream file")
     bits = np.unpackbits(np.frombuffer(payload[:n_bytes], dtype=np.uint8), count=n_bits)
-    return Bitstream(bits=bits.astype(bool), kind=kind)
-
-
-def save_bitstream_ascii(bs: Bitstream, path: str | Path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join("1" if b else "0" for b in bs.bits))
-        fh.write("\n")
-
-
-def load_bitstream_ascii(path: str | Path, kind: str = "raw") -> Bitstream:
-    text = Path(path).read_text(encoding="ascii")
-    chars = [c for c in text if not c.isspace()]
-    if any(c not in "01" for c in chars):
-        raise ValueError(f"{path}: ASCII bitstream must contain only '0'/'1'")
-    bits = np.frombuffer("".join(chars).encode("ascii"), dtype=np.uint8) - ord("0")
     return Bitstream(bits=bits.astype(bool), kind=kind)
 
 

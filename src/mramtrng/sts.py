@@ -264,7 +264,6 @@ class BatteryConfig:
     """Battery-level knobs; template sizes default adaptively from n."""
 
     alpha: float = ALPHA
-    uniformity_floor: float = UNIFORMITY_FLOOR
     block_m: int | None = None
     serial_m: int | None = None
     apen_m: int | None = None
@@ -417,6 +416,10 @@ def run_battery(
 
 # --- external suite interchange --------------------------------------------
 
+# the bytes str.isspace() accepts in ASCII text (\t \n \v \f \r, \x1c-\x1f and
+# space); import_sts skips them between bits
+_ASCII_SPACE = np.array([c for c in range(128) if chr(c).isspace()], dtype=np.uint8)
+
 
 def export_sts(seq, destination: str | Path) -> None:
     """Write the exact ASCII '0'/'1' byte stream the reference suite reads."""
@@ -427,13 +430,13 @@ def export_sts(seq, destination: str | Path) -> None:
 
 
 def import_sts(source: str | Path) -> BitSequence:
-    """Read an ASCII '0'/'1' file back into a BitSequence."""
+    """Read an ASCII '0'/'1' file, skipping ASCII whitespace, into a BitSequence."""
     raw = Path(source).read_bytes()
     arr = np.frombuffer(raw, dtype=np.uint8)
-    arr = arr[(arr != ord("\n")) & (arr != ord("\r")) & (arr != ord(" "))]
+    arr = arr[~np.isin(arr, _ASCII_SPACE)]
     if arr.size == 0:
-        raise ValueError("no bits in file")
+        raise ValueError(f"{source}: no bits in file")
     bad = (arr != ord("0")) & (arr != ord("1"))
     if np.any(bad):
-        raise ValueError("file contains characters other than '0' and '1'")
+        raise ValueError(f"{source}: file contains characters other than '0' and '1'")
     return BitSequence(arr == ord("1"))

@@ -78,8 +78,9 @@ def measure_pipeline_times(
 ) -> ThroughputInputs:
     """Wall-clock the package's own harvest and conditioning steps.
 
-    Returns per-address and per-block averages over `repeats` measured
-    repetitions, after `warmup` discarded ones.
+    Returns per-address and per-block minima over `repeats` measured
+    repetitions, after `warmup` discarded ones: the fastest repetition is the
+    cost of the step itself, the slower ones add preemption and other load.
     """
     if repeats < 100:
         raise ValueError("need at least 100 measured repetitions")
@@ -111,8 +112,8 @@ def measure_pipeline_times(
             hash_samples.append(elapsed / blocks_per_rep)
 
     return ThroughputInputs(
-        t_rw_ns=float(np.mean(rw_samples)),
-        t_hash_ns=float(np.mean(hash_samples)),
+        t_rw_ns=float(np.min(rw_samples)),
+        t_hash_ns=float(np.min(hash_samples)),
         bits_per_rand_addr=selection.bits_per_rand_addr,
         b_len=block.b_len,
         d_len=block.d_len,

@@ -162,6 +162,9 @@ def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     by_tw = {p.t_w_ns: p.error_fraction for p in sweep.points}
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
+    again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=8)
+    assert sweep.campaign.t_w_ns == 2.5
+    assert np.array_equal(sweep.campaign.bits, again.bits)
 
 
 def test_choose_tw_tie_prefers_wider_pulse():

@@ -1,6 +1,8 @@
 """Subcommand behavior, exit codes, environment overrides, artifact determinism."""
 
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -91,6 +93,17 @@ def test_bad_env_value_is_usage_error(config_file, tmp_path, monkeypatch, capsys
     assert "MRTG_SEED" in capsys.readouterr().err
 
 
+def test_seed_out_of_range_is_usage_error(config_file, tmp_path, monkeypatch, capsys):
+    base = ["chip", "--config", str(config_file), "--out", str(tmp_path / "c.mrtg")]
+    assert cli.main(base + ["--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    assert cli.main(base + ["--seed", str(2**64)]) == cli.EXIT_USAGE
+    monkeypatch.setenv("MRTG_SEED", str(2**64))
+    assert cli.main(base) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: --seed") for line in err)
+
+
 def test_env_temperature_changes_measurement(chip_file, monkeypatch, capsys):
     cli.main(["characterize", str(chip_file)])
     warm = capsys.readouterr().out
@@ -146,6 +159,29 @@ def test_generate_then_battery(chip_file, selection_file, tmp_path, capsys):
     rc = cli.main(["test", str(out / "conditioned.bits")])
     assert rc == 0
     assert "battery verdict" in capsys.readouterr().out
+
+
+def test_generate_malformed_selection_exits_2(chip_file, selection_file, tmp_path, capsys):
+    valid = selection_file.read_bytes()
+    (num_addresses,) = struct.unpack_from("<I", valid, 6)
+    bad_addr, bad_width = bytearray(valid), bytearray(valid)
+    struct.pack_into("<I", bad_addr, 24, num_addresses)  # first entry's address
+    struct.pack_into("<H", bad_width, 10, 8)
+    cases = {  # a phrase of the one-line error -> the file content that must give it
+        "truncated selection file header": valid[:10],
+        "entries but the file size": valid[:-3],
+        "file size": valid + bytes(6),
+        "out of range": bytes(bad_addr),
+        "word width": bytes(bad_width),
+    }
+    bad = tmp_path / "bad.mrsl"
+    for message, data in cases.items():
+        bad.write_bytes(data)
+        capsys.readouterr()
+        rc = cli.main(["generate", str(chip_file), str(bad), "--bits", "256", "--out", str(tmp_path / "gen")])
+        assert rc == cli.EXIT_USAGE, message
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 def test_battery_failure_exits_4(tmp_path, capsys):
@@ -251,3 +287,49 @@ def test_pipeline_csv_format(config_file, tmp_path):
     assert rc == 0
     assert (out / "battery.csv").exists()
     assert not (out / "battery.txt").exists()
+
+
+# SHA-256 of `pipeline --config <small_config> --seed 7 --bits 20000`; run.json
+# is left out because it records the config file's path.
+PIPELINE_GOLDEN_SHA256 = {
+    "chip.mrtg": "b1efa0f3fb8fb3cd4ea82d33abde4cd7f42915527baf544cc207027b9db82d0d",
+    "sweep.csv": "8cdbe68706f99f97620c8949080164db403bb8daf91bf107ea3fd942390a2bef",
+    "selection.mrsl": "2d9ec088e4db8dd063bf5dcd51de2af07a6707ae6d7f9069859efb94c56a2b19",
+    "raw.bits": "582bd3a67a1adc570965d7596ac74014484b9d459199bb1e94c52d6fa18a4b39",
+    "conditioned.bits": "f20bcb1097121da1728d8a8377c1b981a451efd2d72b9aeddcddd3696515505e",
+    "provenance.json": "c4b1916d706cf6030c4918817cfc39dc04c6a92c8c474acf1ac20b52131c734a",
+    "battery.txt": "a8f9eaee5c12389ac6a831e5b2b4883b16382b61e9eeb2348df09eeea3100731",
+    "throughput.txt": "747f487461c088ed63366fdbb2cc8b3a4d6748afc21d2b9d6b03237092d09fc4",
+}
+
+
+def test_pipeline_golden_artifacts(config_file, tmp_path):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "pipeline", "--config", str(config_file), "--seed", "7", "--bits", "20000",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PIPELINE_GOLDEN_SHA256}
+    assert digests == PIPELINE_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("tw", [None, "5.0", "3.0"])
+def test_pipeline_matches_characterize_then_generate(config_file, tmp_path, tw):
+    """The pipeline's selection and streams equal what the single-stage
+    commands write from its chip: at the chosen width, at another sweep
+    width, and at a width the sweep did not visit."""
+    pipe = tmp_path / "pipe"
+    args = ["pipeline", "--config", str(config_file), "--seed", "7", "--bits", "20000", "--out", str(pipe)]
+    assert cli.main(args + (["--tw", tw] if tw else [])) == 0
+    tw = str(json.loads((pipe / "run.json").read_text())["t_w_ns"])
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    chip = str(pipe / "chip.mrtg")
+    assert cli.main(["characterize", chip, "--tw", tw, "--out", str(stages / "selection.mrsl")]) == 0
+    assert cli.main([
+        "generate", chip, str(stages / "selection.mrsl"), "--tw", tw, "--bits", "20000", "--out", str(stages),
+    ]) == 0
+    for name in ("selection.mrsl", "raw.bits", "conditioned.bits", "provenance.json"):
+        data = (pipe / name).read_bytes()
+        assert data and data == (stages / name).read_bytes(), name

@@ -339,6 +339,7 @@ def test_reduced_write_error_band(fresh_small_chip):
     # shipped 1 Mb recipe in the acceptance suite
     m = measure(fresh_small_chip, DataPattern.solid(0x0000), TimingParams.reduced(2.5), n=10)
     assert 0.1 < m.error_fraction() < 0.6
+    assert m.error_fraction() == float(np.mean(m.bits != m.written[None, :]))
 
 
 # --- persistence -----------------------------------------------------------

@@ -13,11 +13,10 @@ from mramtrng.extract import (
     condition,
     harvest,
     load_bitstream,
-    load_bitstream_ascii,
     required_rounds,
     save_bitstream,
-    save_bitstream_ascii,
 )
+from mramtrng.sts import export_sts, import_sts
 
 # FIPS 180-4 single-block / long-message test vectors
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -226,9 +225,10 @@ def test_bitstream_binary_truncation_detected(tmp_path):
 def test_bitstream_ascii_roundtrip(tmp_path):
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
     p = tmp_path / "s.txt"
-    save_bitstream_ascii(Bitstream(bits), p)
+    export_sts(Bitstream(bits).bits, p)
     assert p.read_text().strip() == "10110010111"
-    again = load_bitstream_ascii(p)
+    p.write_text(p.read_text() + "\n")
+    again = import_sts(p)
     assert np.array_equal(again.bits, bits)
 
 
@@ -236,7 +236,7 @@ def test_bitstream_ascii_rejects_junk(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("0101x01")
     with pytest.raises(ValueError):
-        load_bitstream_ascii(p)
+        import_sts(p)
 
 
 def test_msb_first_packing():

@@ -398,13 +398,16 @@ def test_export_import_roundtrip(tmp_path):
     export_sts(bits, p)
     again = import_sts(p)
     assert np.array_equal(again.bits, bits)
+    # ASCII whitespace between bits is skipped
+    text = p.read_text()
+    for spaced in (text + "\n", text[:100] + "\r\n" + text[100:] + " ", "\t".join(text)):
+        p.write_text(spaced)
+        assert np.array_equal(import_sts(p).bits, bits)
 
 
 def test_import_rejects_junk(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("0101a")
-    with pytest.raises(ValueError):
-        import_sts(p)
-    p.write_text("")
-    with pytest.raises(ValueError):
-        import_sts(p)
+    for text in ("0101a", "0101x01", ""):
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            import_sts(p)
