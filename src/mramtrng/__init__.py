@@ -9,6 +9,7 @@ with SHA-256 and grades the output with a NIST-style statistical battery.
 __version__ = "0.1.0"
 
 from .device import (
+    CampaignFold,
     ChipConfig,
     ChipModel,
     DataPattern,
@@ -17,6 +18,7 @@ from .device import (
     TimingParams,
     create_chip,
     default_config,
+    fold_campaigns,
     load_chip,
     measure,
     read,
@@ -26,6 +28,7 @@ from .device import (
 )
 
 __all__ = [
+    "CampaignFold",
     "ChipConfig",
     "ChipModel",
     "DataPattern",
@@ -34,6 +37,7 @@ __all__ = [
     "TimingParams",
     "create_chip",
     "default_config",
+    "fold_campaigns",
     "load_chip",
     "measure",
     "read",

@@ -28,13 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .device import (
+    CampaignFold,
     ChipModel,
     DataPattern,
     Environment,
     MeasurementMatrix,
     TimingParams,
     WORD_WIDTH,
-    measure,
+    fold_campaigns,
 )
 
 _SEL_MAGIC = b"MRSL"
@@ -80,6 +81,13 @@ def count_flips(matrix: MeasurementMatrix) -> FlipCountVector:
         )
     flips = np.logical_xor(matrix.bits[1:], matrix.bits[:-1]).sum(axis=0)
     return FlipCountVector(counts=flips.astype(np.int64), n_measurements=matrix.n_measurements)
+
+
+def fold_flips(fold: CampaignFold) -> FlipCountVector:
+    """The flip counts of a folded campaign; equals count_flips of its rows."""
+    if fold.n_measurements < 2:
+        raise ValueError(f"flip counting needs >= 2 measurements, got {fold.n_measurements}")
+    return FlipCountVector(counts=fold.flip_counts.astype(np.int64), n_measurements=fold.n_measurements)
 
 
 @dataclass(frozen=True)
@@ -199,15 +207,24 @@ class CellTaxonomy:
         )
 
 
-def classify_cells(matrix: MeasurementMatrix) -> CellTaxonomy:
-    if matrix.n_measurements < 2:
+def _taxonomy(constant: np.ndarray, correct: np.ndarray, n: int) -> CellTaxonomy:
+    if n < 2:
         raise ValueError("classification needs >= 2 measurements")
-    constant = np.all(matrix.bits == matrix.bits[0][None, :], axis=0)
-    correct = matrix.bits[0] == matrix.written
-    labels = np.full(matrix.num_cells, CellClass.NOISE_PRONE, dtype=np.uint8)
+    labels = np.full(constant.size, CellClass.NOISE_PRONE, dtype=np.uint8)
     labels[constant & correct] = CellClass.PERSISTENT_CORRECT
     labels[constant & ~correct] = CellClass.PERSISTENT_ERROR
-    return CellTaxonomy(labels=labels, n_measurements=matrix.n_measurements)
+    return CellTaxonomy(labels=labels, n_measurements=n)
+
+
+def classify_cells(matrix: MeasurementMatrix) -> CellTaxonomy:
+    constant = np.all(matrix.bits == matrix.bits[0][None, :], axis=0)
+    return _taxonomy(constant, matrix.bits[0] == matrix.written, matrix.n_measurements)
+
+
+def classify_fold(fold: CampaignFold) -> CellTaxonomy:
+    """classify_cells of a folded campaign: a cell never changed iff it never
+    flipped, and its constant value is right iff its round-0 readout is."""
+    return _taxonomy(fold.flip_counts == 0, ~fold.first_errors, fold.n_measurements)
 
 
 # --- write-timing sweep ----------------------------------------------------
@@ -225,8 +242,8 @@ class TimingSweepResult:
     pattern: DataPattern
     env: Environment
     n_measurements: int
-    # the campaign at the width choose_tw picks, so callers can reuse it
-    campaign: MeasurementMatrix | None = None
+    # flip counts of the campaign at the width choose_tw picks, for reuse
+    flips: FlipCountVector | None = None
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -247,21 +264,18 @@ def sweep_tw(
     env: Environment | None = None,
     n: int = 50,
 ) -> TimingSweepResult:
-    """Error fraction of an n-round campaign at each candidate pulse width."""
-    if not len(tuple(tw_list)):
+    """Error fraction of an n-round campaign at each candidate pulse width,
+    all widths folded in one pass over the rounds."""
+    tw_list = tuple(tw_list)
+    if not tw_list:
         raise ValueError("sweep needs at least one pulse width")
     pattern = pattern or DataPattern.solid(0x0000)
     env = env or Environment()
-    points = []
-    for t_w in tw_list:
-        m = measure(chip, pattern, TimingParams.reduced(t_w), env, n=n)
-        points.append(SweepPoint(t_w_ns=float(t_w), error_fraction=m.error_fraction()))
-        if max(points, key=_pick_key) is points[-1]:
-            campaign = m
-        del m  # so at most two campaigns are alive during the next measure
-    return TimingSweepResult(
-        points=tuple(points), pattern=pattern, env=env, n_measurements=n, campaign=campaign
-    )
+    folds = fold_campaigns(chip, pattern, [TimingParams.reduced(t) for t in tw_list], env, n=n)
+    points = tuple(SweepPoint(t_w_ns=float(f.t_w_ns), error_fraction=f.error_fraction()) for f in folds)
+    picked = folds[points.index(max(points, key=_pick_key))]
+    flips = FlipCountVector(counts=picked.flip_counts.astype(np.int64), n_measurements=n)
+    return TimingSweepResult(points=points, pattern=pattern, env=env, n_measurements=n, flips=flips)
 
 
 def choose_tw(sweep: TimingSweepResult) -> float:

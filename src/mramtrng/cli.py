@@ -24,9 +24,9 @@ from pathlib import Path
 from .characterize import (
     CellSelection,
     SelectionThresholds,
-    classify_cells,
-    count_flips,
+    classify_fold,
     export_selection_csv,
+    fold_flips,
     load_selection,
     save_selection,
     select_cells,
@@ -43,8 +43,8 @@ from .device import (
     TimingParams,
     create_chip,
     default_config,
+    fold_campaigns,
     load_chip,
-    measure,
     save_chip,
 )
 from .extract import (
@@ -188,6 +188,19 @@ def _report_header(title: str, chip: ChipModel, digest: str) -> str:
     )
 
 
+def _chip_and_selection(args: argparse.Namespace) -> tuple[ChipModel, CellSelection]:
+    """The chip and selection files named on the command line, which must
+    describe arrays of the same size."""
+    chip = load_chip(args.chip)
+    sel = load_selection(args.selection)
+    if sel.num_addresses != chip.num_addresses:
+        raise ValueError(
+            f"{args.selection}: selection is for {sel.num_addresses} addresses, "
+            f"but chip {args.chip} has {chip.num_addresses}"
+        )
+    return chip, sel
+
+
 def _generate_into(out: Path, chip: ChipModel, sel: CellSelection, tw: float, bits: int, env: Environment):
     """Harvest and condition, then write raw.bits, conditioned.bits and
     provenance.json into ``out``; returns (raw, conditioned)."""
@@ -252,12 +265,11 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     n = _opt(args, "n", int, 50)
     tw = _opt(args, "tw", float, 2.5)
     env = _environment(args)
-    matrix = measure(chip, DataPattern.solid(0), TimingParams.reduced(tw), env, n=n)
-    taxonomy = classify_cells(matrix)
-    fc = count_flips(matrix)
-    sel = select_cells(fc, _thresholds(args, n))
+    (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
+    taxonomy = classify_fold(fold)
+    sel = select_cells(fold_flips(fold), _thresholds(args, n))
     print(
-        f"t_w = {tw} ns, N = {n}: error fraction {matrix.error_fraction():.4f}, "
+        f"t_w = {tw} ns, N = {n}: error fraction {fold.error_fraction():.4f}, "
         f"invariant cells {100 * taxonomy.invariant_fraction:.2f}%"
     )
     print(
@@ -280,8 +292,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    chip = load_chip(args.chip)
-    sel = load_selection(args.selection)
+    chip, sel = _chip_and_selection(args)
     if sel.empty:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
@@ -318,8 +329,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
-    chip = load_chip(args.chip)
-    sel = load_selection(args.selection)
+    chip, sel = _chip_and_selection(args)
     if sel.empty:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
@@ -354,11 +364,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         tw = choose_tw(sweep)
     print(f"harvest pulse width: {tw} ns")
 
-    # the sweep already ran the campaign at the width it picked
-    matrix = sweep.campaign
-    if tw != matrix.t_w_ns:
-        matrix = measure(chip, DataPattern.solid(0), TimingParams.reduced(tw), env, n=n)
-    fc = count_flips(matrix)
+    # the sweep already folded the campaign at the width it picked
+    if tw == choose_tw(sweep):
+        fc = sweep.flips
+    else:
+        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
+        fc = fold_flips(fold)
     thresholds = _thresholds(args, n)
     sel = select_cells(fc, thresholds)
     run_cfg = _run_config(

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .rng import CounterRng, hash_words16
+from .rng import CounterRng, draw_threshold, draws, hash_words16
 
 WORD_WIDTH = 16
 
@@ -60,6 +61,11 @@ _STREAM_VALUE = 2
 
 # pattern stripes alternate in blocks of this many addresses
 STRIPE_LEN = 16
+
+# cells per block of fold_campaigns: a block's keys, thresholds and per-round
+# draws stay in the CPU caches through all of the block's rounds instead of
+# streaming from memory every round (32K and 64K ran fastest on a 2 MB L2)
+_FOLD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ class Environment:
                 f"temperature {self.temperature_c} C outside rated window "
                 f"[{TEMP_MIN_C}, {TEMP_MAX_C}] C"
             )
-        if self.field_mt < 0.0:
-            raise ValueError(f"field magnitude must be >= 0, got {self.field_mt}")
+        if not (np.isfinite(self.field_mt) and self.field_mt >= 0.0):
+            raise ValueError(f"field magnitude must be finite and >= 0, got {self.field_mt}")
         if self.field_axis not in FIELD_AXES:
             raise ValueError(f"field_axis must be one of {FIELD_AXES}, got {self.field_axis!r}")
 
@@ -217,6 +223,9 @@ class CellParams:
         for name in ("steepness", "metastable_frac", "metastable_bias"):
             if len(getattr(self, name)) != n:
                 raise ValueError("cell parameter arrays must have equal length")
+        for name in ("tau_ns", "steepness", "metastable_frac", "metastable_bias"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.tau_ns <= 0) or np.any(self.steepness <= 0):
             raise ValueError("tau_ns and steepness must be positive")
         for name in ("metastable_frac", "metastable_bias"):
@@ -236,10 +245,10 @@ class EnvCoeffs:
     field_threshold_mt: float = 10.0
 
     def __post_init__(self):
-        if self.temp_tau_slope_ns_per_c < 0:
-            raise ValueError("temp_tau_slope_ns_per_c must be >= 0")
-        if self.field_threshold_mt <= 0:
-            raise ValueError("field_threshold_mt must be > 0")
+        if not (np.isfinite(self.temp_tau_slope_ns_per_c) and self.temp_tau_slope_ns_per_c >= 0):
+            raise ValueError("temp_tau_slope_ns_per_c must be finite and >= 0")
+        if not (np.isfinite(self.field_threshold_mt) and self.field_threshold_mt > 0):
+            raise ValueError("field_threshold_mt must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -587,39 +596,55 @@ def reset(chip: ChipModel) -> None:
     chip.stored[:] = True
 
 
-def _write_outcome(
-    chip: ChipModel,
-    stored: np.ndarray,
-    target: np.ndarray,
-    p_fail: np.ndarray,
-    keys: np.ndarray,
-    round_index: int,
-    cell_indices: np.ndarray | None,
-) -> np.ndarray:
-    """Post-write bits for one toggle-write event over an arbitrary cell set.
+def _thresholds(chip: ChipModel, timings, env: Environment, cells) -> tuple[np.ndarray, ...]:
+    """Draw thresholds of a campaign over ``cells`` (an index array or a slice).
 
-    Pure in (seed, cell, round); does not touch chip state.
+    Returns the toggle-failure thresholds, one row per timing, their
+    maximum over the timings, and the metastability and bias thresholds.
     """
-    mf = chip.cells.metastable_frac
-    bias = chip.cells.metastable_bias
-    if cell_indices is not None:
-        mf = mf[cell_indices]
-        bias = bias[cell_indices]
+    fail = np.stack([draw_threshold(failure_probability(chip, t, env, cells)) for t in timings])
+    return (
+        fail,
+        fail.max(axis=0),
+        draw_threshold(chip.cells.metastable_frac[cells]),
+        draw_threshold(chip.cells.metastable_bias[cells]),
+    )
 
-    out = stored.copy()
-    toggle = stored != target
-    u_toggle = chip.rng.uniforms(keys, round_index, _STREAM_TOGGLE)
-    failed = toggle & (u_toggle < p_fail)
-    out[toggle & ~failed] = target[toggle & ~failed]
 
-    idx = np.flatnonzero(failed)
-    if idx.size:
-        u_meta = chip.rng.uniforms(keys[idx], round_index, _STREAM_META)
-        meta_idx = idx[u_meta < mf[idx]]
-        if meta_idx.size:
-            u_val = chip.rng.uniforms(keys[meta_idx], round_index, _STREAM_VALUE)
-            out[meta_idx] = u_val < bias[meta_idx]
-    return out
+def _round_keys(chip: ChipModel, rounds: np.ndarray) -> np.ndarray:
+    """(rounds, 3) keys of the toggle, meta and value draws of each round."""
+    streams = (_STREAM_TOGGLE, _STREAM_META, _STREAM_VALUE)
+    return np.stack([chip.rng.round_keys(rounds, s) for s in streams], axis=1)
+
+
+def _write_errors(
+    keys: np.ndarray,
+    toggle: np.ndarray,
+    target: np.ndarray,
+    thresholds: tuple[np.ndarray, ...],
+    round_keys: np.ndarray,
+) -> np.ndarray:
+    """Which cells read back wrong after one toggle-write, per pulse width.
+
+    A toggle fails when its draw is below the width's failure threshold.
+    A failed toggle leaves the stored bit, the wrong one, unless the cell
+    goes metastable and resolves to the target.  The meta and value draws
+    of a (cell, round) do not depend on the width, so they are made once,
+    and only for the cells that fail at the widest threshold.  Returns a
+    (widths, cells) bool array; a readout is its target where this is
+    False and the other bit where it is True.  Pure in (seed, cell, round):
+    ``round_keys`` is the round's row of _round_keys.
+    """
+    fail, widest, meta, bias = thresholds
+    toggle_key, meta_key, value_key = round_keys
+    draw = draws(keys, toggle_key)
+    wrong = toggle.copy()
+    idx = np.flatnonzero(toggle & (draw < widest))
+    mi = idx[draws(keys[idx], meta_key) < meta[idx]]
+    wrong[mi] = (draws(keys[mi], value_key) < bias[mi]) != target[mi]
+    errors = draw < fail
+    errors &= wrong
+    return errors
 
 
 def write(
@@ -632,10 +657,11 @@ def write(
     """One toggle-write of ``pattern`` over the whole array; mutates stored state."""
     env = env or Environment()
     target = pattern.bits(chip.num_addresses)
-    p_fail = failure_probability(chip, timing, env)
-    chip.stored = _write_outcome(
-        chip, chip.stored, target, p_fail, chip.cell_keys(), round_index, None
+    thresholds = _thresholds(chip, (timing,), env, slice(None))
+    errors = _write_errors(
+        chip.cell_keys(), chip.stored != target, target, thresholds, _round_keys(chip, [round_index])[0]
     )
+    chip.stored = target ^ errors[0]
 
 
 def read(chip: ChipModel, start: int = 0, count: int | None = None) -> np.ndarray:
@@ -678,7 +704,7 @@ class MeasurementMatrix:
 
     def error_fraction(self) -> float:
         """Mean fraction of readout bits that disagree with the written data."""
-        # row by row: a full-size comparison temporary would raise a sweep's peak RSS
+        # row by row: a full-size comparison temporary would raise the peak RSS
         errors = sum(int(np.count_nonzero(row != self.written)) for row in self.bits)
         return errors / self.bits.size
 
@@ -701,23 +727,24 @@ def measure(
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n}")
+    if start_round < 0:
+        raise ValueError(f"start_round must be >= 0, got {start_round}")
     env = env or Environment()
 
     if cell_indices is None:
-        target = pattern.bits(chip.num_addresses)
+        cells = slice(None)
         keys = chip.cell_keys()
     else:
-        cell_indices = np.asarray(cell_indices)
-        target = pattern.bits(chip.num_addresses)[cell_indices]
+        cell_indices = cells = np.asarray(cell_indices)
         keys = chip.cell_keys(cell_indices)
-    p_fail = failure_probability(chip, timing, env, cell_indices)
+    target = pattern.bits(chip.num_addresses)[cells]
+    thresholds = _thresholds(chip, (timing,), env, cells)
+    toggle = ~target  # every round starts from the all-ones reset
 
-    reset_state = np.ones(target.size, dtype=bool)
     rows = np.empty((n, target.size), dtype=bool)
-    for i in range(n):
-        rows[i] = _write_outcome(
-            chip, reset_state, target, p_fail, keys, start_round + i, cell_indices
-        )
+    round_keys = _round_keys(chip, np.arange(start_round, start_round + n))
+    for row, rk in zip(rows, round_keys):
+        np.not_equal(target, _write_errors(keys, toggle, target, thresholds, rk)[0], out=row)
 
     if cell_indices is None:
         chip.stored = rows[-1].copy()
@@ -734,6 +761,93 @@ def measure(
         cell_indices=cell_indices,
         chip_id=chip.chip_id,
     )
+
+
+@dataclass
+class CampaignFold:
+    """A full-array measure() campaign at one pulse width, reduced round by
+    round instead of kept as an n x cells matrix.
+
+    ``errors`` counts the readout bits, over all rounds, that disagree with
+    the written data; ``flip_counts`` holds each cell's number of changes
+    between consecutive readouts, in the smallest unsigned dtype that holds
+    n - 1; ``first_errors`` marks the cells whose round-0 readout disagrees
+    with the written bit.
+    """
+
+    t_w_ns: float
+    n_measurements: int
+    errors: int
+    flip_counts: np.ndarray
+    first_errors: np.ndarray
+
+    @property
+    def num_cells(self) -> int:
+        return self.flip_counts.size
+
+    def error_fraction(self) -> float:
+        """Mean fraction of readout bits that disagree with the written data."""
+        return self.errors / (self.n_measurements * self.num_cells)
+
+
+def fold_campaigns(
+    chip: ChipModel,
+    pattern: DataPattern,
+    timings,
+    env: Environment | None = None,
+    n: int = 50,
+) -> list[CampaignFold]:
+    """The campaign of ``measure(chip, pattern, t, env, n)`` for each timing
+    t, folded into a CampaignFold, with each (cell, round) drawn once for
+    all timings.
+
+    The array is processed in blocks of _FOLD_BLOCK cells, all rounds of a
+    block at a time.  Like measure, it leaves the chip holding the final
+    round's readout of the last timing.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one measurement, got n={n}")
+    timings = tuple(timings)
+    if not timings:
+        raise ValueError("need at least one pulse width")
+    env = env or Environment()
+
+    all_target = pattern.bits(chip.num_addresses)
+    all_keys = chip.cell_keys()
+    widths, m = len(timings), chip.num_cells
+    flips = np.zeros((widths, m), dtype=np.min_scalar_type(n - 1))
+    first = np.empty((widths, m), dtype=bool)
+    errors = np.zeros(widths, dtype=np.int64)
+    stored = np.empty(m, dtype=bool)
+    round_keys = _round_keys(chip, np.arange(n))
+    for lo in range(0, m, _FOLD_BLOCK):
+        cells = slice(lo, lo + _FOLD_BLOCK)
+        target, keys = all_target[cells], all_keys[cells]
+        thresholds = _thresholds(chip, timings, env, cells)
+        toggle = ~target  # every round starts from the all-ones reset
+        block_flips = flips[:, cells]
+        prev = first[:, cells] = _write_errors(keys, toggle, target, thresholds, round_keys[0])
+        errors += [np.count_nonzero(row) for row in prev]
+        for rk in round_keys[1:]:
+            cur = _write_errors(keys, toggle, target, thresholds, rk)
+            errors += [np.count_nonzero(row) for row in cur]
+            # a readout is its target with the error bits flipped, so
+            # readouts change between rounds exactly where error bits do
+            prev ^= cur
+            block_flips += prev
+            prev = cur
+        stored[cells] = target ^ prev[-1]
+    chip.stored = stored
+    return [
+        CampaignFold(
+            t_w_ns=t.t_w_ns,
+            n_measurements=n,
+            errors=int(e),
+            flip_counts=f,
+            first_errors=fe,
+        )
+        for t, e, f, fe in zip(timings, errors, flips, first)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -766,28 +880,43 @@ def save_chip(chip: ChipModel, path: str | Path) -> None:
         fh.write(struct.pack("<Q", chip.seed))
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated chip file")
+    return buf
+
+
 def load_chip(path: str | Path) -> ChipModel:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CHIP_MAGIC:
             raise ValueError(f"{path}: not a chip file (bad magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = struct.unpack("<H", _read_exact(fh, 2, path))
         if version != _CHIP_VERSION:
             raise ValueError(f"{path}: unsupported chip file version {version}")
-        (cid_len,) = struct.unpack("<H", fh.read(2))
-        chip_id = fh.read(cid_len).decode("utf-8")
-        num_addresses, word_width = struct.unpack("<IH", fh.read(6))
+        (cid_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
+        chip_id = _read_exact(fh, cid_len, path).decode("utf-8")
+        num_addresses, word_width = struct.unpack("<IH", _read_exact(fh, 6, path))
+        if word_width != WORD_WIDTH:
+            raise ValueError(f"{path}: word width must be {WORD_WIDTH}, got {word_width}")
+        if num_addresses == 0:
+            raise ValueError(f"{path}: chip file lists no addresses")
         m = num_addresses * word_width
-        arrays = []
-        for _ in range(4):
-            buf = fh.read(8 * m)
-            if len(buf) != 8 * m:
-                raise ValueError(f"{path}: truncated chip file")
-            arrays.append(np.frombuffer(buf, dtype="<f8").copy())
-        packed = fh.read((m + 7) // 8)
+        # four f64 arrays, the packed stored bits, two f64 coefficients, the u64 seed
+        expected = fh.tell() + 4 * 8 * m + (m + 7) // 8 + 16 + 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            what = "truncated chip file" if size < expected else "chip file longer than its header says"
+            raise ValueError(
+                f"{path}: {what}: {num_addresses} addresses need {expected} bytes, "
+                f"the file has {size}"
+            )
+        arrays = [np.frombuffer(_read_exact(fh, 8 * m, path), dtype="<f8").copy() for _ in range(4)]
+        packed = _read_exact(fh, (m + 7) // 8, path)
         stored = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m).astype(bool)
-        slope, thresh = struct.unpack("<dd", fh.read(16))
-        (seed,) = struct.unpack("<Q", fh.read(8))
+        slope, thresh = struct.unpack("<dd", _read_exact(fh, 16, path))
+        (seed,) = struct.unpack("<Q", _read_exact(fh, 8, path))
     cells = CellParams(*arrays)
     return ChipModel(
         chip_id=chip_id,

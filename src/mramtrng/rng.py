@@ -25,6 +25,7 @@ _SEED_TWEAK = np.uint64(0xD1B54A32D192ED03)
 
 # 2**-53, for mapping the top 53 bits of a word onto [0, 1)
 _INV_2_53 = float(2.0**-53)
+_TWO_53 = float(2.0**53)
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray:
@@ -33,9 +34,10 @@ def mix64(x: np.ndarray | int) -> np.ndarray:
     Bijective on uint64, with full avalanche: applied to a counter it is
     exactly the SplitMix64 stream.
     """
+    x = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):  # modular wrap is the algorithm
-        z = np.asarray(x, dtype=np.uint64).copy()
-        z ^= z >> np.uint64(30)
+        z = x >> np.uint64(30)  # a new array: the input is left as it is
+        z ^= x
         z *= _MIX_A
         z ^= z >> np.uint64(27)
         z *= _MIX_B
@@ -64,19 +66,39 @@ class CounterRng:
             idx = np.asarray(cell_indices, dtype=np.uint64)
             return mix64(idx * _GOLDEN + self._k_cell)
 
-    def _round_key(self, round_index: int, stream: int) -> np.uint64:
+    def round_keys(self, round_indices: np.ndarray | int, stream: int) -> np.ndarray:
+        """Keys of the given rounds in one draw stream; the word of a
+        (cell, round, stream) is mix64(cell key ^ round key)."""
         with np.errstate(over="ignore"):
-            c = np.uint64(round_index) * _GOLDEN + np.uint64(stream) * _MIX_A
-            return mix64(c + self._k_round)[()]
+            c = np.asarray(round_indices, dtype=np.uint64) * _GOLDEN + np.uint64(stream) * _MIX_A
+            return mix64(c + self._k_round)
 
     def words(self, cell_keys: np.ndarray, round_index: int, stream: int) -> np.ndarray:
         """One uint64 word per cell for the given round and draw stream."""
-        return mix64(cell_keys ^ self._round_key(round_index, stream))
+        return mix64(cell_keys ^ self.round_keys(round_index, stream))
 
     def uniforms(self, cell_keys: np.ndarray, round_index: int, stream: int) -> np.ndarray:
         """One float64 uniform in [0, 1) per cell."""
-        w = self.words(cell_keys, round_index, stream)
-        return (w >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return draws(cell_keys, self.round_keys(round_index, stream)).astype(np.float64) * _INV_2_53
+
+
+def draws(cell_keys: np.ndarray, round_key: np.uint64) -> np.ndarray:
+    """The top 53 bits of each cell's word under one round key; the cell's
+    uniform is exactly this times 2**-53."""
+    w = mix64(cell_keys ^ round_key)
+    w >>= np.uint64(11)
+    return w
+
+
+def draw_threshold(p: np.ndarray | float) -> np.ndarray:
+    """uint64 thresholds with ``draw < draw_threshold(p)`` exactly when
+    ``draw * 2**-53 < p``, for probabilities p in [0, 1].
+
+    Both sides are exact: p * 2**53 only shifts the exponent, and a draw
+    below 2**53 is an integer that float64 holds exactly, so a draw is
+    below p * 2**53 exactly when it is below its ceiling.
+    """
+    return np.ceil(np.asarray(p, dtype=np.float64) * _TWO_53).astype(np.uint64)
 
 
 def hash_words16(seed: int, indices: np.ndarray, stream: int = 0) -> np.ndarray:

@@ -24,6 +24,9 @@ _MAXLOG = 709.782712893383996732
 _BIG = 4.503599627370496e15
 _BIGINV = 2.22044604925031308085e-16
 _SQRT_PI = 1.7724538509055160273
+# far more iterations than any finite argument needs; the loops stop here
+# instead of spinning on an input the convergence tests never accept
+_MAX_ITER = 100_000
 
 
 def erf(x: float) -> float:
@@ -81,7 +84,12 @@ def erfc(x: float) -> float:
 
 
 def igamc(a: float, x: float) -> float:
-    """Regularised upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a)."""
+    """Regularised upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a).
+
+    NaN when a or x is not finite or the fraction does not converge.
+    """
+    if not (math.isfinite(a) and math.isfinite(x)):
+        return math.nan
     if a <= 0.0:
         raise ValueError(f"igamc requires a > 0, got a={a}")
     if x < 0.0:
@@ -101,7 +109,7 @@ def igamc(a: float, x: float) -> float:
     pkm2, qkm2 = 1.0, x
     pkm1, qkm1 = x + 1.0, z * x
     ans = pkm1 / qkm1
-    while True:
+    for _ in range(_MAX_ITER):
         c += 1.0
         y += 1.0
         z += 2.0
@@ -122,12 +130,17 @@ def igamc(a: float, x: float) -> float:
             qkm2 *= _BIGINV
             qkm1 *= _BIGINV
         if t <= _MACHEP:
-            break
-    return ans * ax
+            return ans * ax
+    return math.nan
 
 
 def igam(a: float, x: float) -> float:
-    """Regularised lower incomplete gamma P(a, x) = gamma(a,x)/Gamma(a)."""
+    """Regularised lower incomplete gamma P(a, x) = gamma(a,x)/Gamma(a).
+
+    NaN when a or x is not finite or the series does not converge.
+    """
+    if not (math.isfinite(a) and math.isfinite(x)):
+        return math.nan
     if a <= 0.0:
         raise ValueError(f"igam requires a > 0, got a={a}")
     if x < 0.0:
@@ -144,13 +157,13 @@ def igam(a: float, x: float) -> float:
     r = a
     c = 1.0
     ans = 1.0
-    while True:
+    for _ in range(_MAX_ITER):
         r += 1.0
         c *= x / r
         ans += c
         if c <= ans * _MACHEP:
-            break
-    return ans * ax / a
+            return ans * ax / a
+    return math.nan
 
 
 def normal_cdf(x: float) -> float:

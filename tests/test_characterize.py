@@ -163,8 +163,8 @@ def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
     again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=8)
-    assert sweep.campaign.t_w_ns == 2.5
-    assert np.array_equal(sweep.campaign.bits, again.bits)
+    assert sweep.flips.n_measurements == 8
+    assert np.array_equal(sweep.flips.counts, count_flips(again).counts)
 
 
 def test_choose_tw_tie_prefers_wider_pulse():

@@ -184,6 +184,64 @@ def test_generate_malformed_selection_exits_2(chip_file, selection_file, tmp_pat
         assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("command", ["generate", "throughput"])
+def test_selection_of_another_chip_exits_2(config_file, chip_file, tmp_path, capsys, command):
+    big_cfg = tmp_path / "big.json"
+    big_cfg.write_text(json.dumps(small_config(4096).to_dict()), encoding="utf-8")
+    big_chip, big_sel = tmp_path / "big.mrtg", tmp_path / "big.mrsl"
+    assert cli.main(["chip", "--config", str(big_cfg), "--seed", "7", "--out", str(big_chip)]) == 0
+    assert cli.main(["characterize", str(big_chip), "--out", str(big_sel)]) == 0
+    capsys.readouterr()
+    extra = ["--bits", "256", "--out", str(tmp_path / "gen")] if command == "generate" else []
+    assert cli.main([command, str(chip_file), str(big_sel)] + extra) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Mbit/s" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert "4096 addresses" in captured.err and "has 2048" in captured.err
+
+
+def _chip_file_cases(valid: bytes) -> dict:
+    """A phrase of the one-line error -> a malformed chip file that must give it."""
+    cid_len = struct.unpack_from("<H", valid, 6)[0]
+    tau = 8 + cid_len + 6  # offset of the first tau_ns entry
+    nan_tau, zero_addr, bad_width, nan_field = (bytearray(valid) for _ in range(4))
+    struct.pack_into("<d", nan_tau, tau, float("nan"))
+    struct.pack_into("<I", zero_addr, tau - 6, 0)
+    struct.pack_into("<H", bad_width, tau - 2, 8)
+    struct.pack_into("<d", nan_field, len(valid) - 16, float("nan"))  # field_threshold_mt
+    return {
+        "truncated chip file": valid[:20],
+        "truncated chip file:": valid[:-1],
+        "longer than its header": valid + bytes(3),
+        "tau_ns must be finite": bytes(nan_tau),
+        "no addresses": bytes(zero_addr),
+        "word width": bytes(bad_width),
+        "field_threshold_mt must be finite": bytes(nan_field),
+    }
+
+
+def test_malformed_chip_file_exits_2(chip_file, tmp_path, capsys):
+    bad = tmp_path / "bad.mrtg"
+    for message, data in _chip_file_cases(chip_file.read_bytes()).items():
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(["sweep", str(bad), "--n", "2"]) == cli.EXIT_USAGE, message
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, (message, err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_field_exits_2(config_file, tmp_path, monkeypatch, capsys, value):
+    out = tmp_path / "run"
+    base = ["pipeline", "--config", str(config_file), "--seed", "7", "--bits", "256", "--out", str(out)]
+    assert cli.main(base + [f"--field={value}"]) == cli.EXIT_USAGE
+    monkeypatch.setenv("MRTG_FIELD", value)
+    assert cli.main(base) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: field magnitude") for line in err)
+    assert not (out / "run.json").exists()
+
+
 def test_battery_failure_exits_4(tmp_path, capsys):
     zeros = tmp_path / "zeros.txt"
     zeros.write_text("0" * 20000)

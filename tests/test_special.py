@@ -6,6 +6,8 @@ Agreement is required to at least 12 significant digits.
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -97,6 +99,19 @@ def test_igamc_edges():
         igamc(-1.0, 1.0)
     with pytest.raises(ValueError):
         igam(1.0, -0.5)
+
+
+def test_igam_igamc_finish_on_non_finite_arguments():
+    """NaN and +-inf arguments return NaN instead of looping; run in a child
+    process so that a regression fails on the timeout instead of hanging."""
+    code = (
+        "import math\n"
+        "from mramtrng.special import igam, igamc\n"
+        "bad = (math.nan, math.inf, -math.inf)\n"
+        "args = [(2.0, v) for v in bad] + [(v, 2.0) for v in bad] + [(v, v) for v in bad]\n"
+        "assert all(math.isnan(f(a, x)) for f in (igam, igamc) for a, x in args)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_normal_cdf():
