@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .characterize import (
     CellSelection,
     SelectionThresholds,
@@ -49,11 +51,12 @@ from .device import (
 )
 from .extract import (
     BlockParams,
-    condition,
+    conditioned_provenance,
+    digest_blocks,
     harvest,
     load_bitstream,
+    open_bitstream,
     required_rounds,
-    save_bitstream,
     save_provenance,
 )
 from .sts import BatteryConfig, import_sts, run_battery
@@ -76,6 +79,11 @@ ENV_PREFIX = "MRTG_"
 
 # conditioned bits produced by `pipeline` are graded in slices this long
 PIPELINE_STREAM_BITS = 100_000
+
+# raw bits harvested per chunk by `generate` and `pipeline` (about 2 Mbit:
+# 259 rounds of 8,082 cells); the chunk's bool rows and packed bytes are
+# what generation holds in memory, whatever the number of bits asked for
+HARVEST_CHUNK_BITS = 1 << 21
 
 
 class UsageError(Exception):
@@ -201,17 +209,50 @@ def _chip_and_selection(args: argparse.Namespace) -> tuple[ChipModel, CellSelect
     return chip, sel
 
 
-def _generate_into(out: Path, chip: ChipModel, sel: CellSelection, tw: float, bits: int, env: Environment):
-    """Harvest and condition, then write raw.bits, conditioned.bits and
-    provenance.json into ``out``; returns (raw, conditioned)."""
+def _generate_into(
+    out: Path,
+    chip: ChipModel,
+    sel: CellSelection,
+    tw: float,
+    bits: int,
+    env: Environment,
+    *,
+    chunk_rounds: int | None = None,
+) -> tuple[int, int, int]:
+    """Harvest, condition and write raw.bits, conditioned.bits and
+    provenance.json into ``out``, a chunk of rounds at a time, so memory
+    does not grow with ``bits``; returns (rounds, raw bits, conditioned bits).
+
+    Raw bits short of a whole block carry over into the next chunk; the
+    last partial block is written to raw.bits and not conditioned.
+    """
     block = BlockParams()
+    timing = TimingParams.reduced(tw)
     rounds = required_rounds(bits, sel.num_randcell, block)
-    raw = harvest(chip, sel, rounds=rounds, timing=TimingParams.reduced(tw), env=env)
-    conditioned = condition(raw, block)
-    save_bitstream(raw, out / "raw.bits")
-    save_bitstream(conditioned, out / "conditioned.bits")
-    save_provenance(conditioned, out / "provenance.json")
-    return raw, conditioned
+    raw_bits = rounds * sel.num_randcell
+    cond_bits = raw_bits // block.b_len * block.d_len
+    if chunk_rounds is None:
+        chunk_rounds = max(1, HARVEST_CHUNK_BITS // sel.num_randcell)
+    carry = np.empty(0, dtype=bool)
+    with open_bitstream(out / "raw.bits", raw_bits) as raw_fh, open_bitstream(
+        out / "conditioned.bits", cond_bits
+    ) as cond_fh:
+        for start in range(0, rounds, chunk_rounds):
+            chunk = harvest(
+                chip, sel, rounds=min(chunk_rounds, rounds - start), timing=timing, env=env, start_round=start
+            )
+            # no copy of the chunk while nothing is carried (one-chunk runs)
+            pending = np.concatenate([carry, chunk.bits]) if carry.size else chunk.bits
+            whole = len(pending) - len(pending) % block.b_len
+            packed = np.packbits(pending[:whole]).tobytes()
+            raw_fh.write(packed)
+            cond_fh.write(digest_blocks(packed, block))
+            carry = pending[whole:].copy()  # a view would keep the whole chunk alive
+        raw_fh.write(np.packbits(carry).tobytes())
+    # a chunk's harvest provenance, stretched to the whole run
+    prov = conditioned_provenance(dict(chunk.provenance, rounds=rounds, start_round=0), raw_bits, block)
+    save_provenance(out / "provenance.json", "conditioned", cond_bits, prov)
+    return rounds, raw_bits, cond_bits
 
 
 def _reference_inputs(sel: CellSelection) -> ThroughputInputs:
@@ -300,11 +341,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     bits = _opt(args, "bits", int, 1_000_000)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
-    raw, conditioned = _generate_into(out, chip, sel, tw, bits, _environment(args))
-    print(
-        f"harvested {len(raw)} raw bits over {raw.provenance['rounds']} rounds, "
-        f"conditioned to {len(conditioned)} bits"
-    )
+    rounds, raw_bits, cond_bits = _generate_into(out, chip, sel, tw, bits, _environment(args))
+    print(f"harvested {raw_bits} raw bits over {rounds} rounds, conditioned to {cond_bits} bits")
     print(f"wrote raw.bits, conditioned.bits, provenance.json to {out}")
     return EXIT_OK
 
@@ -391,7 +429,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"({sel.bits_per_rand_addr:.2f} bits/address, digest {selection_digest(sel)[:16]})"
     )
 
-    _, conditioned = _generate_into(out, chip, sel, tw, bits, env)
+    _generate_into(out, chip, sel, tw, bits, env)
+    conditioned = load_bitstream(out / "conditioned.bits", kind="conditioned")
 
     n_streams = max(1, len(conditioned) // PIPELINE_STREAM_BITS)
     stream_len = PIPELINE_STREAM_BITS if len(conditioned) >= PIPELINE_STREAM_BITS else len(conditioned)

@@ -251,6 +251,14 @@ class EnvCoeffs:
             raise ValueError("field_threshold_mt must be finite and > 0")
 
 
+def _require_finite(fields: dict[str, float]) -> None:
+    """Reject a NaN or infinite recipe number, named as in the recipe JSON;
+    the range checks that follow it are all false for NaN."""
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"recipe field {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TauComponent:
     """One Gaussian component of the per-address switching-delay mixture."""
@@ -260,6 +268,7 @@ class TauComponent:
     sigma_ns: float
 
     def __post_init__(self):
+        _require_finite({f"tau.components.{k}": v for k, v in dataclasses.asdict(self).items()})
         if self.weight <= 0:
             raise ValueError(f"component weight must be > 0, got {self.weight}")
         if self.mean_ns <= 0:
@@ -290,6 +299,7 @@ class MarginalAddressPopulation:
     dead_bit_frac: float = 0.135
 
     def __post_init__(self):
+        _require_finite({f"marginal_addresses.{k}": v for k, v in dataclasses.asdict(self).items()})
         if not 0.0 <= self.weight < 1.0:
             raise ValueError("marginal-address weight must lie in [0, 1)")
         if self.tau_mean_ns <= 0 or self.tau_sigma_ns <= 0:
@@ -332,6 +342,20 @@ class ChipConfig:
     env: EnvCoeffs = field(default_factory=EnvCoeffs)
 
     def __post_init__(self):
+        _require_finite(
+            {
+                "tau.bit_sigma_ns": self.tau_bit_sigma_ns,
+                "tau.min_ns": self.tau_min_ns,
+                "steepness.median_per_ns": self.steepness_median,
+                "steepness.addr_sigma": self.steepness_addr_sigma,
+                "steepness.bit_sigma": self.steepness_bit_sigma,
+                "steepness.min_per_ns": self.steepness_min,
+                "steepness.max_per_ns": self.steepness_max,
+                "metastable.frac": self.metastable_frac,
+                "metastable.bias_alpha": self.bias_alpha,
+                "metastable.bias_beta": self.bias_beta,
+            }
+        )
         if self.num_addresses <= 0:
             raise ValueError("num_addresses must be > 0")
         if not self.tau_components:
@@ -398,6 +422,7 @@ class ChipConfig:
                 if marg is not None
                 else MarginalAddressPopulation()
             )
+            _require_finite({"num_addresses": float(d["num_addresses"])})
             return cls(
                 chip_id=d.get("chip_id", "default"),
                 num_addresses=int(d["num_addresses"]),
@@ -423,6 +448,8 @@ class ChipConfig:
             )
         except KeyError as exc:
             raise ValueError(f"chip config missing key: {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"chip config value of the wrong type or out of range: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ChipConfig":

@@ -21,6 +21,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -118,21 +119,31 @@ def harvest(
     return Bitstream(bits=m.bits.reshape(-1), kind="raw", provenance=prov)
 
 
+def digest_blocks(packed: bytes, block: BlockParams = BlockParams()) -> bytes:
+    """SHA-256 each whole b_len-bit block of MSB-first packed raw bits and
+    concatenate the digests, which are the conditioned bits packed the same
+    way.  Trailing bytes short of a whole block are not hashed."""
+    step = block.b_len // 8
+    view = memoryview(packed)
+    sha256 = hashlib.sha256
+    return b"".join(sha256(view[i : i + step]).digest() for i in range(0, len(view) - step + 1, step))
+
+
+def conditioned_provenance(raw_provenance: dict, raw_bits: int, block: BlockParams = BlockParams()) -> dict:
+    """Provenance of the stream conditioned from ``raw_bits`` raw bits."""
+    prov = dict(raw_provenance)
+    prov.update({"b_len": block.b_len, "d_len": block.d_len, "raw_bits": raw_bits})
+    return prov
+
+
 def condition(raw: Bitstream, block: BlockParams = BlockParams()) -> Bitstream:
     """SHA-256 each full b_len-bit block; drop any trailing partial block."""
     if raw.kind != "raw":
         raise ValueError("condition() expects a raw stream")
-    n_blocks = len(raw) // block.b_len
-    used = raw.bits[: n_blocks * block.b_len]
-    out = bytearray()
-    if n_blocks:
-        block_bytes = np.packbits(used).tobytes()  # b_len % 8 == 0, exact
-        step = block.b_len // 8
-        for i in range(n_blocks):
-            out += hashlib.sha256(block_bytes[i * step : (i + 1) * step]).digest()
-    bits = np.unpackbits(np.frombuffer(bytes(out), dtype=np.uint8)).astype(bool)
-    prov = dict(raw.provenance)
-    prov.update({"b_len": block.b_len, "d_len": block.d_len, "raw_bits": len(raw)})
+    used = raw.bits[: len(raw) // block.b_len * block.b_len]
+    digests = digest_blocks(np.packbits(used).tobytes(), block)  # b_len % 8 == 0, exact
+    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8)).astype(bool)
+    prov = conditioned_provenance(raw.provenance, len(raw), block)
     return Bitstream(bits=bits, kind="conditioned", provenance=prov)
 
 
@@ -140,18 +151,28 @@ def condition(raw: Bitstream, block: BlockParams = BlockParams()) -> Bitstream:
 # binary form: u64 little-endian bit count, then MSB-first packed bytes.
 
 
+_HEADER = struct.Struct("<Q")
+
+
+def open_bitstream(path: str | Path, n_bits: int) -> BinaryIO:
+    """Create a binary bitstream file and write its header; the caller then
+    appends the ceil(n_bits / 8) payload bytes, in as many writes as it likes."""
+    fh = open(path, "wb")
+    fh.write(_HEADER.pack(n_bits))
+    return fh
+
+
 def save_bitstream(bs: Bitstream, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(bs)))
+    with open_bitstream(path, len(bs)) as fh:
         fh.write(bs.to_bytes())
 
 
 def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
     with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated bitstream file")
-        (n_bits,) = struct.unpack("<Q", header)
+        (n_bits,) = _HEADER.unpack(header)
         payload = fh.read()
     n_bytes = (n_bits + 7) // 8
     if len(payload) < n_bytes:
@@ -160,8 +181,8 @@ def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
     return Bitstream(bits=bits.astype(bool), kind=kind)
 
 
-def save_provenance(bs: Bitstream, path: str | Path) -> None:
-    """JSON sidecar with the stream's origin metadata."""
+def save_provenance(path: str | Path, kind: str, n_bits: int, provenance: dict) -> None:
+    """JSON sidecar with a stream's kind, length and origin metadata."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": bs.kind, "bits": len(bs), "provenance": bs.provenance}, fh, indent=2)
+        json.dump({"kind": kind, "bits": n_bits, "provenance": provenance}, fh, indent=2)
         fh.write("\n")

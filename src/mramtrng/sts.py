@@ -140,12 +140,23 @@ _LONGEST_RUN_TABLES = {
 
 
 def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
-    x = blocks.astype(np.int32)
-    run = np.zeros(x.shape[0], dtype=np.int32)
-    best = np.zeros(x.shape[0], dtype=np.int32)
-    for j in range(x.shape[1]):
-        run = (run + 1) * x[:, j]
-        np.maximum(best, run, out=best)
+    """Longest run of ones in each row, from the run boundaries.
+
+    Each row is framed by zeros, so within a row every run start (0 -> 1)
+    is followed by its end (1 -> 0), and in row-major order the k-th start
+    and the k-th end belong to the same run.
+    """
+    n_blocks, m = blocks.shape
+    framed = np.zeros((n_blocks, m + 2), dtype=np.int8)
+    framed[:, 1:-1] = blocks
+    step = np.diff(framed, axis=1).ravel()
+    starts = np.flatnonzero(step == 1)
+    lengths = np.flatnonzero(step == -1) - starts
+    best = np.zeros(n_blocks, dtype=np.int64)
+    if starts.size:
+        rows = starts // (m + 1)
+        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        best[rows[first]] = np.maximum.reduceat(lengths, first)
     return best
 
 
@@ -196,11 +207,17 @@ def _template_counts(bits: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(codes, minlength=2**m)
 
 
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m == 0:
+def _fold_counts(counts: np.ndarray) -> np.ndarray:
+    """(m-1)-bit template counts from m-bit ones: a template's count is the
+    sum of its two one-bit extensions.  Exact because both histograms count
+    all n wrapped positions."""
+    return counts[0::2] + counts[1::2]
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    if counts.size == 1:  # m = 0
         return 0.0
-    counts = _template_counts(bits, m)
-    return (2**m / bits.size) * float(counts @ counts) - bits.size
+    return (counts.size / n) * float(counts @ counts) - n
 
 
 def serial(seq, m: int = 8, alpha: float = ALPHA) -> tuple[TestResult, TestResult]:
@@ -210,9 +227,11 @@ def serial(seq, m: int = 8, alpha: float = ALPHA) -> tuple[TestResult, TestResul
         raise ValueError("serial test needs m >= 2")
     if m >= bits.size:
         raise ValueError("template length m too large for the sequence")
-    psi_m = _psi_sq(bits, m)
-    psi_1 = _psi_sq(bits, m - 1)
-    psi_2 = _psi_sq(bits, m - 2)
+    counts_m = _template_counts(bits, m)
+    counts_1 = _fold_counts(counts_m)
+    psi_m = _psi_sq(counts_m, bits.size)
+    psi_1 = _psi_sq(counts_1, bits.size)
+    psi_2 = _psi_sq(_fold_counts(counts_1), bits.size)
     d1 = psi_m - psi_1
     d2 = psi_m - 2.0 * psi_1 + psi_2
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
@@ -223,9 +242,8 @@ def serial(seq, m: int = 8, alpha: float = ALPHA) -> tuple[TestResult, TestResul
     )
 
 
-def _phi(bits: np.ndarray, m: int) -> float:
-    counts = _template_counts(bits, m)
-    c = counts[counts > 0] / bits.size
+def _phi(counts: np.ndarray, n: int) -> float:
+    c = counts[counts > 0] / n
     return float(np.sum(c * np.log(c)))
 
 
@@ -236,7 +254,8 @@ def approximate_entropy(seq, m: int = 8, alpha: float = ALPHA) -> TestResult:
         raise ValueError("approximate-entropy test needs m >= 1")
     if m + 1 >= bits.size:
         raise ValueError("template length m too large for the sequence")
-    apen = _phi(bits, m) - _phi(bits, m + 1)
+    counts_next = _template_counts(bits, m + 1)
+    apen = _phi(_fold_counts(counts_next), bits.size) - _phi(counts_next, bits.size)
     chi = 2.0 * bits.size * (math.log(2.0) - apen)
     p = igamc(2 ** (m - 1), chi / 2.0)
     return TestResult("ApproximateEntropy", chi, p, p >= alpha)

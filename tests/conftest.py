@@ -2,7 +2,17 @@
 
 import pytest
 
-from mramtrng.device import ChipConfig, EnvCoeffs, MarginalAddressPopulation, TauComponent, create_chip
+from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
+from mramtrng.device import (
+    ChipConfig,
+    DataPattern,
+    EnvCoeffs,
+    MarginalAddressPopulation,
+    TauComponent,
+    TimingParams,
+    create_chip,
+    measure,
+)
 
 
 def small_config(num_addresses: int = 2048) -> ChipConfig:
@@ -26,6 +36,15 @@ def small_config(num_addresses: int = 2048) -> ChipConfig:
 @pytest.fixture(scope="session")
 def small_chip():
     return create_chip(small_config(), seed=7)
+
+
+@pytest.fixture(scope="session")
+def small_selection(small_chip):
+    """The cells of ``small_chip`` that flip 6 to 19 times in 20 rounds at 2.5 ns."""
+    m = measure(small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=20)
+    sel = select_cells(count_flips(m), SelectionThresholds(6))
+    assert not sel.empty
+    return sel
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import small_config
 from mramtrng import cli
-from mramtrng.device import load_chip
+from mramtrng.device import default_config, load_chip
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,47 @@ def test_chip_missing_config_is_io_error(tmp_path, capsys):
     rc = cli.main(["chip", "--config", str(tmp_path / "nope.json"), "--seed", "1", "--out", str(tmp_path / "c.mrtg")])
     assert rc == cli.EXIT_IO
     assert "I/O error" in capsys.readouterr().err
+
+
+def _edited_recipe(tmp_path, where: tuple, value):
+    """The default recipe as JSON with the entry at path ``where`` set to
+    ``value`` (json writes NaN and Infinity literals)."""
+    recipe = default_config().to_dict()
+    section = recipe
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "where, value, field",
+    [
+        (("tau", "components", 1, "mean_ns"), float("nan"), "tau.components.mean_ns"),
+        (("tau", "min_ns"), float("inf"), "tau.min_ns"),
+        (("steepness", "median_per_ns"), float("inf"), "steepness.median_per_ns"),
+        (("metastable", "bias_beta"), float("-inf"), "metastable.bias_beta"),
+        (("marginal_addresses", "tau_sigma_ns"), float("nan"), "marginal_addresses.tau_sigma_ns"),
+        (("num_addresses",), float("inf"), "num_addresses"),
+    ],
+)
+def test_non_finite_recipe_number_exits_2(tmp_path, capsys, where, value, field):
+    config = _edited_recipe(tmp_path, where, value)
+    out = tmp_path / "c.mrtg"
+    assert cli.main(["chip", "--config", str(config), "--seed", "1", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"recipe field {field} must be finite" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, value", [(("tau", "min_ns"), None), (("num_addresses",), 10**400)])
+def test_malformed_recipe_value_exits_2(tmp_path, capsys, where, value):
+    config = _edited_recipe(tmp_path, where, value)
+    assert cli.main(["chip", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "c.mrtg")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "wrong type or out of range" in err, err
 
 
 def test_unknown_subcommand_exits_2():

@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
 from mramtrng.device import DataPattern, TimingParams, measure
 from mramtrng.extract import (
     Bitstream,
@@ -145,15 +144,8 @@ def test_required_rounds_validation():
 
 
 @pytest.fixture(scope="module")
-def chip_and_selection():
-    from conftest import small_config
-    from mramtrng.device import create_chip
-
-    chip = create_chip(small_config(), seed=7)
-    m = measure(chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=20)
-    sel = select_cells(count_flips(m), SelectionThresholds(6))
-    assert not sel.empty
-    return chip, sel
+def chip_and_selection(small_chip, small_selection):
+    return small_chip, small_selection
 
 
 def test_harvest_order_is_round_major_then_cell(chip_and_selection):

@@ -8,6 +8,9 @@ import pytest
 import reference as ref
 from mramtrng.sts import (
     ALPHA,
+    _fold_counts,
+    _longest_run_per_block,
+    _template_counts,
     BatteryConfig,
     BitSequence,
     SUBTEST_NAMES,
@@ -94,6 +97,43 @@ def test_longest_run_determinism():
     seq = (np.random.default_rng(12).random(500) < 0.5)
     a, b = longest_run(seq), longest_run(seq)
     assert a.statistic == b.statistic and a.p_value == b.p_value
+
+
+def _longest_run_loop(blocks: np.ndarray) -> np.ndarray:
+    """Column-by-column longest run of ones per row."""
+    x = blocks.astype(np.int32)
+    run = np.zeros(x.shape[0], dtype=np.int32)
+    best = np.zeros(x.shape[0], dtype=np.int32)
+    for j in range(x.shape[1]):
+        run = (run + 1) * x[:, j]
+        np.maximum(best, run, out=best)
+    return best
+
+
+def _bit_cases(n: int, seed: int) -> dict:
+    return {
+        "random": np.random.default_rng(seed).random(n) < 0.5,
+        "ones": np.ones(n, dtype=bool),
+        "zeros": np.zeros(n, dtype=bool),
+        "alternating": np.arange(n) % 2 == 0,
+    }
+
+
+@pytest.mark.parametrize("m", [8, 128, 10_000])
+def test_longest_run_per_block_matches_loop(m):
+    n_blocks = 12
+    for name, bits in _bit_cases(n_blocks * m, m).items():
+        blocks = bits.reshape(n_blocks, m)
+        assert np.array_equal(_longest_run_per_block(blocks), _longest_run_loop(blocks)), name
+    mixed = np.random.default_rng(1).random((n_blocks, m)) < 0.9
+    mixed[0], mixed[1], mixed[2, :-1], mixed[3, 1:] = True, False, False, False
+    assert np.array_equal(_longest_run_per_block(mixed), _longest_run_loop(mixed))
+
+
+def test_folded_template_counts_are_exact():
+    for name, bits in _bit_cases(1000, 3).items():
+        for m in range(1, 11):
+            assert np.array_equal(_fold_counts(_template_counts(bits, m + 1)), _template_counts(bits, m)), (name, m)
 
 
 def test_cumulative_sums_example():
