@@ -50,12 +50,14 @@ from .device import (
     save_chip,
 )
 from .extract import (
+    MAX_STREAM_BITS,
     BlockParams,
     conditioned_provenance,
     digest_blocks,
-    harvest,
+    harvest_rounds,
     load_bitstream,
     open_bitstream,
+    plan_harvest,
     required_rounds,
     save_provenance,
 )
@@ -209,6 +211,19 @@ def _chip_and_selection(args: argparse.Namespace) -> tuple[ChipModel, CellSelect
     return chip, sel
 
 
+def _raw_size(bits: int, num_randcell: int) -> tuple[int, int]:
+    """(rounds, raw bits) of a harvest of ``bits`` conditioned bits from
+    ``num_randcell`` cells; a usage error if the raw bit count does not fit
+    the u64 header of a .bits file."""
+    rounds = required_rounds(bits, num_randcell)
+    raw_bits = rounds * num_randcell
+    if raw_bits > MAX_STREAM_BITS:
+        raise UsageError(
+            f"--bits {bits} needs {raw_bits} raw bits, more than a .bits file holds ({MAX_STREAM_BITS})"
+        )
+    return rounds, raw_bits
+
+
 def _generate_into(
     out: Path,
     chip: ChipModel,
@@ -227,20 +242,17 @@ def _generate_into(
     last partial block is written to raw.bits and not conditioned.
     """
     block = BlockParams()
-    timing = TimingParams.reduced(tw)
-    rounds = required_rounds(bits, sel.num_randcell, block)
-    raw_bits = rounds * sel.num_randcell
+    rounds, raw_bits = _raw_size(bits, sel.num_randcell)
     cond_bits = raw_bits // block.b_len * block.d_len
     if chunk_rounds is None:
         chunk_rounds = max(1, HARVEST_CHUNK_BITS // sel.num_randcell)
+    plan = plan_harvest(chip, sel, TimingParams.reduced(tw), env)
     carry = np.empty(0, dtype=bool)
     with open_bitstream(out / "raw.bits", raw_bits) as raw_fh, open_bitstream(
         out / "conditioned.bits", cond_bits
     ) as cond_fh:
         for start in range(0, rounds, chunk_rounds):
-            chunk = harvest(
-                chip, sel, rounds=min(chunk_rounds, rounds - start), timing=timing, env=env, start_round=start
-            )
+            chunk = harvest_rounds(plan, min(chunk_rounds, rounds - start), start_round=start)
             # no copy of the chunk while nothing is carried (one-chunk runs)
             pending = np.concatenate([carry, chunk.bits]) if carry.size else chunk.bits
             whole = len(pending) - len(pending) % block.b_len
@@ -249,8 +261,7 @@ def _generate_into(
             cond_fh.write(digest_blocks(packed, block))
             carry = pending[whole:].copy()  # a view would keep the whole chunk alive
         raw_fh.write(np.packbits(carry).tobytes())
-    # a chunk's harvest provenance, stretched to the whole run
-    prov = conditioned_provenance(dict(chunk.provenance, rounds=rounds, start_round=0), raw_bits, block)
+    prov = conditioned_provenance(dict(plan.provenance, rounds=rounds), raw_bits, block)
     save_provenance(out / "provenance.json", "conditioned", cond_bits, prov)
     return rounds, raw_bits, cond_bits
 
@@ -339,6 +350,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_EMPTY_SELECTION
     tw = _opt(args, "tw", float, 2.5)
     bits = _opt(args, "bits", int, 1_000_000)
+    _raw_size(bits, sel.num_randcell)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     rounds, raw_bits, cond_bits = _generate_into(out, chip, sel, tw, bits, _environment(args))
@@ -384,10 +396,13 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config, config_path = _load_config(args)
     seed = _require_seed(args)
+    bits = _opt(args, "bits", int, 1_000_000)
+    # the selection comes later; one cell needs the fewest raw bits, so a
+    # run that cannot fit then cannot fit with any selection
+    _raw_size(bits, 1)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     n = _opt(args, "n", int, 50)
-    bits = _opt(args, "bits", int, 1_000_000)
     env = _environment(args)
     fmt = _format(args)
     digest = config_digest(config)

@@ -90,6 +90,25 @@ def draws(cell_keys: np.ndarray, round_key: np.uint64) -> np.ndarray:
     return w
 
 
+def draw_rows(cell_keys: np.ndarray, round_keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out[r] = draws(cell_keys, round_keys[r])`` for every r, mixed in
+    place: ``out`` and ``scratch`` are (len(round_keys), cells) uint64
+    buffers the caller allocates once and reuses; ``scratch`` is overwritten.
+
+    The same SplitMix64 finalizer as mix64, without its temporaries.
+    """
+    np.bitwise_xor(cell_keys, round_keys[:, None], out=out)
+    with np.errstate(over="ignore"):
+        for shift, mul in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(out, np.uint64(shift), out=scratch)
+            out ^= scratch
+            out *= mul
+        np.right_shift(out, np.uint64(31), out=scratch)
+        out ^= scratch
+    out >>= np.uint64(11)
+    return out
+
+
 def draw_threshold(p: np.ndarray | float) -> np.ndarray:
     """uint64 thresholds with ``draw < draw_threshold(p)`` exactly when
     ``draw * 2**-53 < p``, for probabilities p in [0, 1].

@@ -1,5 +1,8 @@
 """Shared fixtures: a small chip specimen so most tests stay fast."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
@@ -31,6 +34,13 @@ def small_config(num_addresses: int = 2048) -> ChipConfig:
         marginal=MarginalAddressPopulation(weight=0.0065),
         env=EnvCoeffs(),
     )
+
+
+def first_cells(sel, k):
+    """``sel`` cut down to its first ``k`` selected cells."""
+    mask = np.zeros_like(sel.mask)
+    mask[sel.cell_indices[:k]] = True
+    return dataclasses.replace(sel, mask=mask)
 
 
 @pytest.fixture(scope="session")

@@ -225,6 +225,26 @@ def test_generate_malformed_selection_exits_2(chip_file, selection_file, tmp_pat
         assert err.count("\n") == 1 and message in err
 
 
+def test_generate_bits_beyond_u64_header_exits_2(chip_file, selection_file, tmp_path, capsys):
+    out = tmp_path / "gen"
+    rc = cli.main(["generate", str(chip_file), str(selection_file), "--bits", str(10**20), "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "raw bits" in err
+    assert not out.exists()
+
+
+def test_pipeline_bits_beyond_u64_header_exits_2(config_file, tmp_path, capsys):
+    out = tmp_path / "pipe"
+    rc = cli.main([
+        "pipeline", "--config", str(config_file), "--seed", "7", "--bits", str(10**20), "--out", str(out),
+    ])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "raw bits" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "throughput"])
 def test_selection_of_another_chip_exits_2(config_file, chip_file, tmp_path, capsys, command):
     big_cfg = tmp_path / "big.json"

@@ -1,17 +1,22 @@
 """Harvest ordering, conditioning vectors, length law and stream files."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from mramtrng.device import DataPattern, TimingParams, measure
+from conftest import first_cells
+from mramtrng import extract
+from mramtrng.device import DataPattern, Environment, TimingParams, measure
 from mramtrng.extract import (
     Bitstream,
     BlockParams,
     condition,
     harvest,
+    harvest_rounds,
     load_bitstream,
+    plan_harvest,
     required_rounds,
     save_bitstream,
 )
@@ -133,6 +138,12 @@ def test_required_rounds_is_minimal():
             assert ((r - 1) * nrc // block.b_len) * block.d_len < target
 
 
+def test_required_rounds_is_exact_beyond_float_precision():
+    # 2**60 + 1 bits need 2**52 + 1 digests; a float quotient rounds to 2**52
+    assert required_rounds(2**60 + 1, 1) == (2**52 + 1) * 512
+    assert required_rounds(2**60 + 1, 3) == -(-(2**52 + 1) * 512 // 3)
+
+
 def test_required_rounds_validation():
     with pytest.raises(ValueError):
         required_rounds(0, 100)
@@ -148,24 +159,84 @@ def chip_and_selection(small_chip, small_selection):
     return small_chip, small_selection
 
 
-def test_harvest_order_is_round_major_then_cell(chip_and_selection):
+def _chip_copy(chip):
+    """``chip`` with its own stored state, so runs can be compared after."""
+    return dataclasses.replace(chip, stored=chip.stored.copy())
+
+
+# harvest runs its own dense, round-batched kernel; measure is the reference.
+# Each case: (rounds, start_round, t_w ns, env, pattern, cells kept or None);
+# rounds None is two whole batches and 5 rounds more.
+_BATCH = extract._HARVEST_WORDS  # rounds per batch is this over the cell count
+HARVEST_CASES = {
+    "solid": (5, 0, 2.5, Environment(), DataPattern.solid(0), None),
+    # cells whose target is 1 do not toggle and read back 1
+    "checkerboard": (5, 0, 2.5, Environment(), DataPattern.checkerboard(), None),
+    "random": (5, 0, 2.5, Environment(), DataPattern.random(3), None),
+    "0C": (5, 0, 2.5, Environment(temperature_c=0.0), DataPattern.solid(0), None),
+    "25mT": (5, 0, 2.5, Environment(field_mt=25.0), DataPattern.solid(0), None),
+    "15ns": (5, 0, 15.0, Environment(), DataPattern.solid(0), None),
+    "start_round": (5, 100, 2.5, Environment(), DataPattern.solid(0), None),
+    "ragged_batches": (None, 3, 2.5, Environment(), DataPattern.solid(0), None),
+    "one_cell": (7, 2, 2.5, Environment(), DataPattern.solid(0), 1),
+}
+
+
+def _case(sel, name):
+    rounds, start, tw, env, pattern, keep = HARVEST_CASES[name]
+    if keep is not None:
+        sel = first_cells(sel, keep)
+    if rounds is None:
+        rounds = 2 * (_BATCH // sel.num_randcell) + 5
+    return sel, rounds, start, TimingParams.reduced(tw), env, pattern
+
+
+@pytest.mark.parametrize("name", HARVEST_CASES)
+def test_harvest_order_is_round_major_then_cell(chip_and_selection, name):
     chip, sel = chip_and_selection
-    timing = TimingParams.reduced(2.5)
-    bs = harvest(chip, sel, rounds=5, timing=timing, start_round=100)
+    sel, rounds, start, timing, env, pattern = _case(sel, name)
+    got_chip, ref_chip = _chip_copy(chip), _chip_copy(chip)
+    bs = harvest(got_chip, sel, rounds=rounds, timing=timing, env=env, pattern=pattern, start_round=start)
     ref = measure(
-        chip, DataPattern.solid(0), timing, n=5, start_round=100,
+        ref_chip, pattern, timing, env, n=rounds, start_round=start,
         cell_indices=sel.cell_indices,
     )
     assert np.array_equal(bs.bits, ref.bits.reshape(-1))
-    assert len(bs) == 5 * sel.num_randcell
+    assert len(bs) == rounds * sel.num_randcell
+    assert np.array_equal(got_chip.stored, ref_chip.stored)
+    # the cases reach what they are named for
+    errors = ref.bits != ref.written
+    if name in ("checkerboard", "random"):
+        assert 0 < np.count_nonzero(ref.written) < sel.num_randcell
+    if name == "15ns":
+        assert not errors.any()
+    else:
+        assert errors.any() and not errors.all()
+    if name == "25mT":
+        assert env.field_mt > chip.env_coeffs.field_threshold_mt
+    if name == "ragged_batches":
+        assert rounds % (_BATCH // sel.num_randcell) != 0 and rounds > 2 * (_BATCH // sel.num_randcell)
 
 
-def test_harvest_subset_equals_full_array_columns(chip_and_selection):
+@pytest.mark.parametrize("name", HARVEST_CASES)
+def test_harvest_subset_equals_full_array_columns(chip_and_selection, name):
     chip, sel = chip_and_selection
-    timing = TimingParams.reduced(2.5)
-    bs = harvest(chip, sel, rounds=4, timing=timing)
-    full = measure(chip, DataPattern.solid(0), timing, n=4)
-    assert np.array_equal(bs.bits.reshape(4, -1), full.bits[:, sel.cell_indices])
+    sel, rounds, start, timing, env, pattern = _case(sel, name)
+    got_chip, ref_chip = _chip_copy(chip), _chip_copy(chip)
+    idx = sel.cell_indices
+    bs = harvest(got_chip, sel, rounds=rounds, timing=timing, env=env, pattern=pattern, start_round=start)
+    full = measure(ref_chip, pattern, timing, env, n=rounds, start_round=start)
+    assert np.array_equal(bs.bits.reshape(rounds, -1), full.bits[:, idx])
+    assert np.array_equal(got_chip.stored[idx], ref_chip.stored[idx])
+
+
+def test_harvest_rounds_validation(chip_and_selection):
+    chip, sel = chip_and_selection
+    plan = plan_harvest(_chip_copy(chip), sel, TimingParams.reduced(2.5))
+    with pytest.raises(ValueError, match="rounds"):
+        harvest_rounds(plan, 0)
+    with pytest.raises(ValueError, match="start_round"):
+        harvest_rounds(plan, 1, start_round=-1)
 
 
 def test_harvest_provenance_and_determinism(chip_and_selection):
@@ -182,8 +253,6 @@ def test_harvest_provenance_and_determinism(chip_and_selection):
 
 def test_harvest_rejects_empty_selection(chip_and_selection):
     chip, sel = chip_and_selection
-    import dataclasses
-
     empty = dataclasses.replace(sel, mask=np.zeros_like(sel.mask))
     with pytest.raises(ValueError, match="empty"):
         harvest(chip, empty, rounds=1, timing=TimingParams.reduced(2.5))

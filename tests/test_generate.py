@@ -1,13 +1,13 @@
 """Streaming generation: chunked output equals one-shot output, and memory
 does not grow with the number of bits asked for."""
 
-import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import first_cells
 from mramtrng import cli
 from mramtrng.device import Environment, TimingParams
 from mramtrng.extract import (
@@ -23,13 +23,6 @@ BITS = 5000  # 20 conditioned blocks, 10,240 raw bits needed
 FILES = ("raw.bits", "conditioned.bits", "provenance.json")
 
 
-def _first_cells(sel, k):
-    """``sel`` cut down to its first ``k`` selected cells."""
-    mask = np.zeros_like(sel.mask)
-    mask[sel.cell_indices[:k]] = True
-    return dataclasses.replace(sel, mask=mask)
-
-
 def _generate(tmp_path, name, chip, sel, bits, chunk_rounds=None):
     out = tmp_path / name
     out.mkdir()
@@ -41,7 +34,7 @@ def _generate(tmp_path, name, chip, sel, bits, chunk_rounds=None):
 # 128: a multiple of 512, so no partial block is left at the end
 @pytest.mark.parametrize("cells", [101, 104, 128])
 def test_chunked_output_equals_one_shot(small_chip, small_selection, tmp_path, cells):
-    sel = _first_cells(small_selection, cells)
+    sel = first_cells(small_selection, cells)
     rounds = required_rounds(BITS, cells)
     raw_bits = rounds * cells
     assert (raw_bits % 8 != 0, raw_bits % 512 != 0) == {101: (True, True), 104: (False, True), 128: (False, False)}[cells]

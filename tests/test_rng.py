@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mramtrng.rng import CounterRng, hash_words16, mix64
+from mramtrng.rng import CounterRng, draw_rows, draws, hash_words16, mix64
 
 
 def test_mix64_no_collisions_on_counter_stream():
@@ -78,3 +78,14 @@ def test_hash_words16_deterministic_and_spread():
     counts = np.bincount(w1, minlength=65536)
     assert counts.max() < 12
     assert not np.array_equal(w1, hash_words16(43, np.arange(65536)))
+
+
+def test_draw_rows_equal_draws_per_round():
+    rng = CounterRng(seed=99)
+    keys = rng.cell_keys(np.arange(0, 5000, 7))
+    round_keys = rng.round_keys(np.arange(20, 26), stream=2)
+    out = np.full((6, keys.size), 123, dtype=np.uint64)  # stale contents are overwritten
+    scratch = np.empty_like(out)
+    assert draw_rows(keys, round_keys, out, scratch) is out
+    for row, rk in zip(out, round_keys):
+        assert np.array_equal(row, draws(keys, rk))

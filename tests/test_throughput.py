@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import small_config
+from mramtrng import throughput as throughput_module
 from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
 from mramtrng.device import DataPattern, TimingParams, create_chip, measure
+from mramtrng.extract import plan_harvest
 from mramtrng.throughput import (
     ThroughputInputs,
     format_estimate,
@@ -115,6 +117,19 @@ def test_measure_pipeline_times_produces_usable_inputs(timed_setup):
     assert est.mbit_per_s > 0 and est.t_rw_avg_ns > 0
     report = format_estimate(inputs, est)
     assert "Mbit/s" in report
+
+
+def test_measure_pipeline_times_sets_up_harvest_once(timed_setup, monkeypatch):
+    chip, sel, timing = timed_setup
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_harvest(*args, **kwargs)
+
+    monkeypatch.setattr(throughput_module, "plan_harvest", counted)
+    measure_pipeline_times(chip, sel, timing, repeats=100, warmup=10)
+    assert len(calls) == 1  # not once per each of the 110 timed harvests
 
 
 def test_measured_hash_time_is_stable(timed_setup):
