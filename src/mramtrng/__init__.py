@@ -21,10 +21,7 @@ from .device import (
     fold_campaigns,
     load_chip,
     measure,
-    read,
-    reset,
     save_chip,
-    write,
 )
 
 __all__ = [
@@ -40,9 +37,6 @@ __all__ = [
     "fold_campaigns",
     "load_chip",
     "measure",
-    "read",
-    "reset",
     "save_chip",
-    "write",
     "__version__",
 ]

@@ -61,33 +61,13 @@ def suggest_th_l(n: int) -> int:
     return round(0.6 * expected_threshold(n, 0.5))
 
 
-@dataclass
-class FlipCountVector:
-    """Per-cell flip counts from one measurement campaign."""
-
-    counts: np.ndarray
-    n_measurements: int
-
-    @property
-    def num_cells(self) -> int:
-        return self.counts.size
-
-
-def count_flips(matrix: MeasurementMatrix) -> FlipCountVector:
+def count_flips(matrix: MeasurementMatrix) -> np.ndarray:
     """Consecutive-readout XOR popcount per cell."""
     if matrix.n_measurements < 2:
         raise ValueError(
             f"flip counting needs >= 2 measurements, got {matrix.n_measurements}"
         )
-    flips = np.logical_xor(matrix.bits[1:], matrix.bits[:-1]).sum(axis=0)
-    return FlipCountVector(counts=flips.astype(np.int64), n_measurements=matrix.n_measurements)
-
-
-def fold_flips(fold: CampaignFold) -> FlipCountVector:
-    """The flip counts of a folded campaign; equals count_flips of its rows."""
-    if fold.n_measurements < 2:
-        raise ValueError(f"flip counting needs >= 2 measurements, got {fold.n_measurements}")
-    return FlipCountVector(counts=fold.flip_counts.astype(np.int64), n_measurements=fold.n_measurements)
+    return np.logical_xor(matrix.bits[1:], matrix.bits[:-1]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -128,13 +108,8 @@ class CellSelection:
         return self.num_randcell == 0
 
     @property
-    def address_mask(self) -> np.ndarray:
-        """True for addresses containing at least one selected cell."""
-        return self.mask.reshape(self.num_addresses, self.word_width).any(axis=1)
-
-    @property
     def num_rand_addresses(self) -> int:
-        return int(np.count_nonzero(self.address_mask))
+        return self._addresses().size
 
     @property
     def rand_addr_fraction(self) -> float:
@@ -152,35 +127,39 @@ class CellSelection:
     def cell_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
+    def _addresses(self) -> np.ndarray:
+        """The ascending addresses that hold selected cells: those of the
+        ascending cell indices, deduplicated, which is far faster than
+        any(axis=1) over the whole array."""
+        addr = self.cell_indices // self.word_width
+        return addr[np.diff(addr, prepend=-1) != 0]
+
     def address_words(self) -> tuple[np.ndarray, np.ndarray]:
         """(addresses, 16-bit masks) for the compact on-disk form; bit j of
         a mask (MSB first) marks cell address*16+j as selected."""
         per_addr = self.mask.reshape(self.num_addresses, self.word_width)
-        # the addresses of the ascending cell indices, deduplicated: far faster
-        # than any(axis=1) over the whole array, and harvest digests the
-        # selection once per chunk
-        addr = self.cell_indices // self.word_width
-        addrs = addr[np.diff(addr, prepend=-1) != 0]
+        addrs = self._addresses()
         masks = np.packbits(per_addr[addrs], axis=1).view(">u2")[:, 0]
         return addrs.astype(np.uint32), masks.astype(np.uint16)
 
 
-def select_cells(fc: FlipCountVector, thresholds: SelectionThresholds) -> CellSelection:
-    """Apply the flip-count window; never raises on an empty result (the
+def select_cells(counts: np.ndarray, n_measurements: int, thresholds: SelectionThresholds) -> CellSelection:
+    """Apply the flip-count window to the per-cell flip counts of an
+    ``n_measurements``-round campaign; never raises on an empty result (the
     ``empty`` flag and the CLI exit code carry that condition)."""
-    th_l, th_u = thresholds.resolve(fc.n_measurements)
-    if fc.num_cells % WORD_WIDTH:
+    th_l, th_u = thresholds.resolve(n_measurements)
+    if counts.size % WORD_WIDTH:
         raise ValueError(
-            f"selection requires full {WORD_WIDTH}-bit words, got {fc.num_cells} cells"
+            f"selection requires full {WORD_WIDTH}-bit words, got {counts.size} cells"
         )
-    mask = (fc.counts >= th_l) & (fc.counts <= th_u)
+    mask = (counts >= th_l) & (counts <= th_u)
     return CellSelection(
         mask=mask,
-        flip_counts=fc.counts,
-        n_measurements=fc.n_measurements,
+        flip_counts=counts,
+        n_measurements=n_measurements,
         th_l=th_l,
         th_u=th_u,
-        num_addresses=fc.num_cells // WORD_WIDTH,
+        num_addresses=counts.size // WORD_WIDTH,
     )
 
 
@@ -243,11 +222,8 @@ class SweepPoint:
 @dataclass
 class TimingSweepResult:
     points: tuple[SweepPoint, ...]
-    pattern: DataPattern
-    env: Environment
-    n_measurements: int
-    # flip counts of the campaign at the width choose_tw picks, for reuse
-    flips: FlipCountVector | None = None
+    # each width's folded campaign, in the order of points, for reuse
+    folds: tuple[CampaignFold, ...] = ()
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -274,12 +250,9 @@ def sweep_tw(
     if not tw_list:
         raise ValueError("sweep needs at least one pulse width")
     pattern = pattern or DataPattern.solid(0x0000)
-    env = env or Environment()
     folds = fold_campaigns(chip, pattern, [TimingParams.reduced(t) for t in tw_list], env, n=n)
     points = tuple(SweepPoint(t_w_ns=float(f.t_w_ns), error_fraction=f.error_fraction()) for f in folds)
-    picked = folds[points.index(max(points, key=_pick_key))]
-    flips = FlipCountVector(counts=picked.flip_counts.astype(np.int64), n_measurements=n)
-    return TimingSweepResult(points=points, pattern=pattern, env=env, n_measurements=n, flips=flips)
+    return TimingSweepResult(points=points, folds=tuple(folds))
 
 
 def choose_tw(sweep: TimingSweepResult) -> float:

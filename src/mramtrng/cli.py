@@ -26,9 +26,9 @@ import numpy as np
 from .characterize import (
     CellSelection,
     SelectionThresholds,
+    TimingSweepResult,
     classify_fold,
     export_selection_csv,
-    fold_flips,
     load_selection,
     save_selection,
     select_cells,
@@ -38,6 +38,7 @@ from .characterize import (
     choose_tw,
 )
 from .device import (
+    CampaignFold,
     ChipConfig,
     ChipModel,
     DataPattern,
@@ -211,6 +212,22 @@ def _chip_and_selection(args: argparse.Namespace) -> tuple[ChipModel, CellSelect
     return chip, sel
 
 
+def _fold_and_select(
+    chip: ChipModel,
+    tw: float,
+    env: Environment,
+    n: int,
+    thresholds: SelectionThresholds,
+    sweep: TimingSweepResult | None = None,
+) -> tuple[CampaignFold, CellSelection]:
+    """The solid-0 campaign at ``tw``, folded, and the cells it selects;
+    the fold of ``sweep`` is reused when the sweep visited ``tw``."""
+    fold = next((f for f in sweep.folds if f.t_w_ns == tw), None) if sweep else None
+    if fold is None:
+        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
+    return fold, select_cells(fold.flip_counts, n, thresholds)
+
+
 def _raw_size(bits: int, num_randcell: int) -> tuple[int, int]:
     """(rounds, raw bits) of a harvest of ``bits`` conditioned bits from
     ``num_randcell`` cells; a usage error if the raw bit count does not fit
@@ -316,10 +333,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     chip = load_chip(args.chip)
     n = _opt(args, "n", int, 50)
     tw = _opt(args, "tw", float, 2.5)
-    env = _environment(args)
-    (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
+    fold, sel = _fold_and_select(chip, tw, _environment(args), n, _thresholds(args, n))
     taxonomy = classify_fold(fold)
-    sel = select_cells(fold_flips(fold), _thresholds(args, n))
     print(
         f"t_w = {tw} ns, N = {n}: error fraction {fold.error_fraction():.4f}, "
         f"invariant cells {100 * taxonomy.invariant_fraction:.2f}%"
@@ -417,14 +432,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         tw = choose_tw(sweep)
     print(f"harvest pulse width: {tw} ns")
 
-    # the sweep already folded the campaign at the width it picked
-    if tw == choose_tw(sweep):
-        fc = sweep.flips
-    else:
-        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
-        fc = fold_flips(fold)
     thresholds = _thresholds(args, n)
-    sel = select_cells(fc, thresholds)
+    _, sel = _fold_and_select(chip, tw, env, n, thresholds, sweep)
     run_cfg = _run_config(
         args, "pipeline", config, config_path, seed=seed, tw=tw, n=n, th=thresholds, bits=bits
     )
@@ -432,11 +441,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if sel.empty:
-        print(
-            f"no cells selected at thresholds [{thresholds.th_l}, "
-            f"{thresholds.th_u if thresholds.th_u is not None else n - 1}]",
-            file=sys.stderr,
-        )
+        print(f"no cells selected at thresholds [{sel.th_l}, {sel.th_u}]", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
     save_selection(sel, out / "selection.mrsl")
     print(

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import CounterRng, draw_threshold, draws, hash_words16
+from .rng import CounterRng, draw_rows, draw_threshold, draws, hash_words16
 
 WORD_WIDTH = 16
 
@@ -66,6 +66,12 @@ STRIPE_LEN = 16
 # draws stay in the CPU caches through all of the block's rounds instead of
 # streaming from memory every round (32K and 64K ran fastest on a 2 MB L2)
 _FOLD_BLOCK = 1 << 15
+
+# uint64 words per draw buffer of _readout_rows: a batch of rounds x cells
+# stays in the CPU caches through its three draws and its decision (at the
+# 8,082 cells of a default selection, batches of 4 to 12 rounds ran fastest,
+# with 2 MB of L2 per core)
+_BATCH_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,15 +204,6 @@ def words_to_bits(words: np.ndarray) -> np.ndarray:
     word at address a lands at cell index a*16 + j, j=0 being the MSB)."""
     w = np.ascontiguousarray(words, dtype=">u2")
     return np.unpackbits(w.view(np.uint8)).astype(bool)
-
-
-def bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Inverse of words_to_bits."""
-    b = np.asarray(bits, dtype=bool)
-    if b.size % WORD_WIDTH:
-        raise ValueError(f"bit count {b.size} is not a multiple of {WORD_WIDTH}")
-    packed = np.packbits(b.reshape(-1, WORD_WIDTH), axis=1)
-    return ((packed[:, 0].astype(np.uint16) << 8) | packed[:, 1]).astype(np.uint16)
 
 
 @dataclass
@@ -618,11 +615,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def reset(chip: ChipModel) -> None:
-    """Solid-0xFFFF preset of the whole array (the known-good nominal write)."""
-    chip.stored[:] = True
-
-
 def _thresholds(chip: ChipModel, timings, env: Environment, cells) -> tuple[np.ndarray, ...]:
     """Draw thresholds of a campaign over ``cells`` (an index array or a slice).
 
@@ -674,52 +666,84 @@ def _write_errors(
     return errors
 
 
-def write(
+@dataclass(frozen=True)
+class _Readout:
+    """The per-run set-up of a campaign over fixed cells (an index array, or
+    a slice for the whole array) at one pulse width: their keys, target bits
+    and draw thresholds."""
+
+    chip: ChipModel
+    cells: np.ndarray | slice
+    keys: np.ndarray
+    target: np.ndarray
+    fail: np.ndarray
+    meta: np.ndarray
+    bias: np.ndarray
+
+
+def _plan_readout(
     chip: ChipModel,
     pattern: DataPattern,
     timing: TimingParams,
-    env: Environment | None = None,
-    round_index: int = 0,
-) -> None:
-    """One toggle-write of ``pattern`` over the whole array; mutates stored state."""
-    env = env or Environment()
-    target = pattern.bits(chip.num_addresses)
-    thresholds = _thresholds(chip, (timing,), env, slice(None))
-    errors = _write_errors(
-        chip.cell_keys(), chip.stored != target, target, thresholds, _round_keys(chip, [round_index])[0]
-    )
-    chip.stored = target ^ errors[0]
+    env: Environment,
+    cell_indices: np.ndarray | None = None,
+) -> _Readout:
+    if cell_indices is None:
+        cells, keys = slice(None), chip.cell_keys()
+    else:
+        cells = np.asarray(cell_indices)
+        keys = chip.cell_keys(cells)
+    (fail,), _, meta, bias = _thresholds(chip, (timing,), env, cells)
+    return _Readout(chip, cells, keys, pattern.bits(chip.num_addresses)[cells], fail, meta, bias)
 
 
-def read(chip: ChipModel, start: int = 0, count: int | None = None) -> np.ndarray:
-    """Read back stored words for ``count`` addresses from ``start``."""
-    if count is None:
-        count = chip.num_addresses - start
-    if start < 0 or count < 0 or start + count > chip.num_addresses:
-        raise IndexError(
-            f"address range [{start}, {start + count}) outside chip of {chip.num_addresses} words"
-        )
-    bits = chip.stored[start * WORD_WIDTH : (start + count) * WORD_WIDTH]
-    return bits_to_words(bits)
+def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
+    """(rounds, cells) readouts of the planned cells in rounds ``start_round``
+    onwards; leaves the chip's planned cells holding the last round's readout.
+
+    Unlike _write_errors, which draws the meta and value words only for the
+    cells whose toggle fails, this draws all three words of every cell, for
+    batches of rounds at a time: harvested cells fail about half the time,
+    so sparse gathers would save nothing there.  Every round starts from
+    the all-ones reset, so a cell toggles exactly where its target is 0 and
+    reads back 1 where its target is 1.  A toggling cell reads 1 when its
+    toggle fails, unless it goes metastable and resolves to 0.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if start_round < 0:
+        raise ValueError(f"start_round must be >= 0, got {start_round}")
+    cells = plan.keys.size
+    batch = min(rounds, max(1, _BATCH_WORDS // cells))
+    words, scratch = np.empty((batch, cells), np.uint64), np.empty((batch, cells), np.uint64)
+    stable, to_one = np.empty((batch, cells), bool), np.empty((batch, cells), bool)
+    rows = np.empty((rounds, cells), dtype=bool)
+    round_keys = _round_keys(plan.chip, np.arange(start_round, start_round + rounds))
+    for lo in range(0, rounds, batch):
+        rk = round_keys[lo : lo + batch]
+        n = len(rk)  # the last batch may be short
+        w, s, failed, keep, one = words[:n], scratch[:n], rows[lo : lo + n], stable[:n], to_one[:n]
+        np.less(draw_rows(plan.keys, rk[:, 0], w, s), plan.fail, out=failed)
+        np.greater_equal(draw_rows(plan.keys, rk[:, 1], w, s), plan.meta, out=keep)
+        np.less(draw_rows(plan.keys, rk[:, 2], w, s), plan.bias, out=one)
+        keep |= one
+        failed &= keep
+    rows |= plan.target
+    plan.chip.stored[plan.cells] = rows[-1]
+    return rows
 
 
 @dataclass
 class MeasurementMatrix:
     """n repeated reset -> reduced write -> read campaigns over one cell set.
 
-    Row i holds the readout bits of round ``start_round + i``; ``written``
-    holds the target bits the write attempted to store.  ``cell_indices``
-    is None for a full-array campaign, else the measured subset.
+    Row i holds the readout bits of one round; ``written`` holds the target
+    bits the write attempted to store.
     """
 
     bits: np.ndarray
     written: np.ndarray
-    pattern: DataPattern
     t_w_ns: float
-    env: Environment
-    start_round: int = 0
-    cell_indices: np.ndarray | None = None
-    chip_id: str = ""
 
     @property
     def n_measurements(self) -> int:
@@ -752,42 +776,9 @@ def measure(
     columns of a full-array campaign.  The chip is left in the state the
     final cycle wrote (matching what the hardware would hold afterwards).
     """
-    if n < 1:
-        raise ValueError(f"need at least one measurement, got n={n}")
-    if start_round < 0:
-        raise ValueError(f"start_round must be >= 0, got {start_round}")
-    env = env or Environment()
-
-    if cell_indices is None:
-        cells = slice(None)
-        keys = chip.cell_keys()
-    else:
-        cell_indices = cells = np.asarray(cell_indices)
-        keys = chip.cell_keys(cell_indices)
-    target = pattern.bits(chip.num_addresses)[cells]
-    thresholds = _thresholds(chip, (timing,), env, cells)
-    toggle = ~target  # every round starts from the all-ones reset
-
-    rows = np.empty((n, target.size), dtype=bool)
-    round_keys = _round_keys(chip, np.arange(start_round, start_round + n))
-    for row, rk in zip(rows, round_keys):
-        np.not_equal(target, _write_errors(keys, toggle, target, thresholds, rk)[0], out=row)
-
-    if cell_indices is None:
-        chip.stored = rows[-1].copy()
-    else:
-        chip.stored[cell_indices] = rows[-1]
-
-    return MeasurementMatrix(
-        bits=rows,
-        written=target,
-        pattern=pattern,
-        t_w_ns=timing.t_w_ns,
-        env=env,
-        start_round=start_round,
-        cell_indices=cell_indices,
-        chip_id=chip.chip_id,
-    )
+    plan = _plan_readout(chip, pattern, timing, env or Environment(), cell_indices)
+    rows = _readout_rows(plan, n, start_round)
+    return MeasurementMatrix(bits=rows, written=plan.target, t_w_ns=timing.t_w_ns)
 
 
 @dataclass
@@ -914,6 +905,12 @@ def _read_exact(fh, n: int, path) -> bytes:
     return buf
 
 
+def _read_into(fh, arr: np.ndarray, path) -> np.ndarray:
+    if fh.readinto(arr) != arr.nbytes:
+        raise ValueError(f"{path}: truncated chip file")
+    return arr
+
+
 def load_chip(path: str | Path) -> ChipModel:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -939,7 +936,7 @@ def load_chip(path: str | Path) -> ChipModel:
                 f"{path}: {what}: {num_addresses} addresses need {expected} bytes, "
                 f"the file has {size}"
             )
-        arrays = [np.frombuffer(_read_exact(fh, 8 * m, path), dtype="<f8").copy() for _ in range(4)]
+        arrays = [_read_into(fh, np.empty(m, dtype="<f8"), path) for _ in range(4)]
         packed = _read_exact(fh, (m + 7) // 8, path)
         stored = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m).astype(bool)
         slope, thresh = struct.unpack("<dd", _read_exact(fh, 16, path))

@@ -25,13 +25,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .characterize import CellSelection, selection_digest
-from .device import ChipModel, DataPattern, Environment, TimingParams, _round_keys, _thresholds
-from .rng import draw_rows
-
-# uint64 words per draw buffer of harvest_rounds: a batch of rounds x selected
-# cells stays in the CPU caches through its three draws and its decision
-# (at 8,082 cells, batches of 4 to 12 rounds ran fastest, with 2 MB of L2 per core)
-_HARVEST_WORDS = 1 << 16
+from .device import ChipModel, DataPattern, Environment, TimingParams, _plan_readout, _Readout, _readout_rows
 
 
 @dataclass(frozen=True)
@@ -89,16 +83,11 @@ def required_rounds(target_bits: int, num_randcell: int, block: BlockParams = Bl
 @dataclass(frozen=True)
 class HarvestPlan:
     """What every chunk of one harvest shares, computed once per run: the
-    selected cells, their keys, target bits and draw thresholds, and the
-    provenance (its ``rounds`` and ``start_round`` are set per chunk)."""
+    readout set-up of the selected cells (their indices, keys, target bits
+    and draw thresholds) and the provenance (its ``rounds`` and
+    ``start_round`` are set per chunk)."""
 
-    chip: ChipModel
-    cell_indices: np.ndarray
-    keys: np.ndarray
-    target: np.ndarray
-    fail: np.ndarray
-    meta: np.ndarray
-    bias: np.ndarray
+    readout: _Readout
     provenance: dict
 
 
@@ -114,8 +103,6 @@ def plan_harvest(
         raise ValueError("cannot harvest from an empty selection")
     env = env or Environment()
     pattern = pattern or DataPattern.solid(0x0000)
-    idx = selection.cell_indices
-    (fail,), _, meta, bias = _thresholds(chip, (timing,), env, idx)
     prov = {
         "chip_id": chip.chip_id,
         "seed": chip.seed,
@@ -127,74 +114,18 @@ def plan_harvest(
         "num_randcell": selection.num_randcell,
         "selection_sha256": selection_digest(selection),
     }
-    return HarvestPlan(
-        chip=chip,
-        cell_indices=idx,
-        keys=chip.cell_keys(idx),
-        target=pattern.bits(chip.num_addresses)[idx],
-        fail=fail,
-        meta=meta,
-        bias=bias,
-        provenance=prov,
-    )
+    return HarvestPlan(_plan_readout(chip, pattern, timing, env, selection.cell_indices), prov)
 
 
 def harvest_rounds(plan: HarvestPlan, rounds: int, start_round: int = 0) -> Bitstream:
     """Readouts of the planned cells in rounds ``start_round`` onwards,
-    round-major, then by ascending cell: the rows of ``measure`` over the
-    selected cells, bit for bit, and like it this leaves the chip's selected
-    cells holding the last round's readout.
-
-    Unlike measure, which draws the meta and value words only for the cells
-    whose toggle fails, this draws all three words of every cell, for
-    batches of rounds at a time: selected cells fail about half the time,
-    so the sparse gathers save nothing here.  Every round starts from the
-    all-ones reset, so a cell toggles exactly where its target is 0 and
-    reads back 1 where its target is 1.  A toggling cell reads 1 when its
-    toggle fails, unless it goes metastable and resolves to 0.
+    round-major, then by ascending cell, as a raw stream: the rows of
+    ``measure`` over the selected cells, from the same kernel.  Like
+    measure, this leaves the selected cells holding the last round's readout.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if start_round < 0:
-        raise ValueError(f"start_round must be >= 0, got {start_round}")
-    cells = plan.keys.size
-    batch = min(rounds, max(1, _HARVEST_WORDS // cells))
-    words, scratch = np.empty((batch, cells), np.uint64), np.empty((batch, cells), np.uint64)
-    stable, to_one = np.empty((batch, cells), bool), np.empty((batch, cells), bool)
-    rows = np.empty((rounds, cells), dtype=bool)
-    round_keys = _round_keys(plan.chip, np.arange(start_round, start_round + rounds))
-    for lo in range(0, rounds, batch):
-        rk = round_keys[lo : lo + batch]
-        n = len(rk)  # the last batch may be short
-        w, s, failed, keep, one = words[:n], scratch[:n], rows[lo : lo + n], stable[:n], to_one[:n]
-        np.less(draw_rows(plan.keys, rk[:, 0], w, s), plan.fail, out=failed)
-        np.greater_equal(draw_rows(plan.keys, rk[:, 1], w, s), plan.meta, out=keep)
-        np.less(draw_rows(plan.keys, rk[:, 2], w, s), plan.bias, out=one)
-        keep |= one
-        failed &= keep
-    rows |= plan.target
-    plan.chip.stored[plan.cell_indices] = rows[-1]
+    rows = _readout_rows(plan.readout, rounds, start_round)
     prov = dict(plan.provenance, rounds=rounds, start_round=start_round)
     return Bitstream(bits=rows.reshape(-1), kind="raw", provenance=prov)
-
-
-def harvest(
-    chip: ChipModel,
-    selection: CellSelection,
-    rounds: int,
-    timing: TimingParams,
-    env: Environment | None = None,
-    pattern: DataPattern | None = None,
-    start_round: int = 0,
-) -> Bitstream:
-    """Collect ``rounds`` readouts of the selected cells as a raw stream.
-
-    Evaluates the campaign only on the selected cells; by construction of
-    the counter-based RNG this is bit-identical to slicing a full-array
-    campaign, just much faster on a sparse selection.
-    """
-    plan = plan_harvest(chip, selection, timing, env, pattern)
-    return harvest_rounds(plan, rounds, start_round)
 
 
 def digest_blocks(packed: bytes, block: BlockParams = BlockParams()) -> bytes:

@@ -52,7 +52,7 @@ def small_chip():
 def small_selection(small_chip):
     """The cells of ``small_chip`` that flip 6 to 19 times in 20 rounds at 2.5 ns."""
     m = measure(small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=20)
-    sel = select_cells(count_flips(m), SelectionThresholds(6))
+    sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     assert not sel.empty
     return sel
 

@@ -29,7 +29,7 @@ from mramtrng.device import (
     default_config,
     measure,
 )
-from mramtrng.extract import BlockParams, Bitstream, condition, harvest, required_rounds
+from mramtrng.extract import BlockParams, Bitstream, condition, harvest_rounds, plan_harvest, required_rounds
 from mramtrng.sts import (
     BatteryConfig,
     approximate_entropy,
@@ -87,14 +87,14 @@ def calibrated():
 @pytest.fixture(scope="module")
 def selection(calibrated):
     _, matrix, _ = calibrated
-    return select_cells(count_flips(matrix), SelectionThresholds(th_l=15))
+    return select_cells(count_flips(matrix), N_ROUNDS, SelectionThresholds(th_l=15))
 
 
 @pytest.fixture(scope="module")
 def conditioned_streams(calibrated, selection):
     chip, _, _ = calibrated
     rounds = required_rounds(STREAMS * STREAM_BITS, selection.num_randcell)
-    raw = harvest(chip, selection, rounds, TimingParams.reduced(HARVEST_TW_NS))
+    raw = harvest_rounds(plan_harvest(chip, selection, TimingParams.reduced(HARVEST_TW_NS)), rounds)
     bits = condition(raw).bits
     return [bits[i * STREAM_BITS : (i + 1) * STREAM_BITS] for i in range(STREAMS)]
 
@@ -138,17 +138,17 @@ def test_criterion_2_invariant_cell_fraction(calibrated):
 
 def test_criterion_3_selection_statistics(calibrated):
     _, matrix, _ = calibrated
-    fc = count_flips(matrix)
+    counts = count_flips(matrix)
     worst = []
     ok = True
     for th_l in range(15, 24):
-        sel = select_cells(fc, SelectionThresholds(th_l=th_l))
+        sel = select_cells(counts, N_ROUNDS, SelectionThresholds(th_l=th_l))
         frac, bpa = sel.rand_addr_fraction, sel.bits_per_rand_addr
         if not (0.005 <= frac <= 0.020 and 9.0 <= bpa <= 14.0):
             ok = False
             worst.append(f"th_l={th_l}: frac={100 * frac:.2f}%, bpa={bpa:.2f}")
-    sel15 = select_cells(fc, SelectionThresholds(th_l=15))
-    sel23 = select_cells(fc, SelectionThresholds(th_l=23))
+    sel15 = select_cells(counts, N_ROUNDS, SelectionThresholds(th_l=15))
+    sel23 = select_cells(counts, N_ROUNDS, SelectionThresholds(th_l=23))
     detail = (
         f"th_l 15..23: frac {100 * sel23.rand_addr_fraction:.2f}%"
         f"..{100 * sel15.rand_addr_fraction:.2f}% in [0.5%,2%], "
@@ -177,14 +177,8 @@ def test_criterion_4_flip_count_oracle():
         n = int(rng.integers(2, 11))
         m = int(rng.integers(1, 65))
         bits = rng.random((n, m)) < rng.random()
-        matrix = MeasurementMatrix(
-            bits=bits,
-            written=np.zeros(m, dtype=bool),
-            pattern=DataPattern.solid(0),
-            t_w_ns=HARVEST_TW_NS,
-            env=Environment(),
-        )
-        if not np.array_equal(count_flips(matrix).counts, _brute_force_flips(bits)):
+        matrix = MeasurementMatrix(bits=bits, written=np.zeros(m, dtype=bool), t_w_ns=HARVEST_TW_NS)
+        if not np.array_equal(count_flips(matrix), _brute_force_flips(bits)):
             mismatches += 1
     _verdict(4, mismatches == 0, f"{mismatches}/1000 brute-force mismatches")
 
@@ -347,7 +341,7 @@ def test_criterion_8_temperature_and_field(calibrated, selection):
         Environment(temperature_c=20.0),
         n=N_ROUNDS,
     )
-    cold = select_cells(count_flips(cold_matrix), SelectionThresholds(th_l=15))
+    cold = select_cells(count_flips(cold_matrix), N_ROUNDS, SelectionThresholds(th_l=15))
     fewer_cold = cold.num_randcell < selection.num_randcell
 
     low_field = measure(

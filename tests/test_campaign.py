@@ -1,23 +1,27 @@
 """The campaign engine against the row-level matrix path.
 
-`measure` builds the full n x cells readout matrix and `count_flips` /
-`classify_cells` reduce it; the sweep and `characterize` reach the same
-numbers without it.  These tests require the two paths to agree exactly.
+`measure` builds the full n x cells readout matrix with the dense kernel
+the harvest uses, and `count_flips` / `classify_cells` reduce it; the sweep
+and `characterize` reach the same numbers from the sparse `_write_errors`
+kernel of `fold_campaigns`.  These tests require the two to agree exactly.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_config
 from mramtrng import cli, device
 from mramtrng.characterize import (
+    SelectionThresholds,
     choose_tw,
     classify_cells,
     classify_fold,
     count_flips,
-    fold_flips,
+    select_cells,
     sweep_tw,
 )
 from mramtrng.device import (
@@ -85,12 +89,12 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
     args = ["characterize", str(path), "--n", str(n), "--th-l", "1", "--format", "csv", "--out", str(report)]
     assert cli.main(args + flags) == 0
     m = measure(chip, DataPattern.solid(0), TimingParams.reduced(2.5), e, n=n)
-    fc, tax = count_flips(m), classify_cells(m)
+    counts, tax = count_flips(m), classify_cells(m)
     got = np.zeros(chip.num_cells, dtype=np.int64)
     for line in report.read_text().splitlines()[1:]:
         addr, _, *flips = line.split(",")
         got[int(addr) * 16 : (int(addr) + 1) * 16] = [int(f) for f in flips]
-    assert np.array_equal(got, fc.counts)
+    assert np.array_equal(got, counts)
     out = capsys.readouterr().out
     assert f"error fraction {m.error_fraction():.4f}, invariant cells {100 * tax.invariant_fraction:.2f}%" in out
 
@@ -115,8 +119,40 @@ def test_fold_matches_matrix_path(monkeypatch, pattern, env, n, block):
         assert fold.errors == np.count_nonzero(m.bits != m.written)
         assert fold.error_fraction() == m.error_fraction()
         assert np.array_equal(fold.first_errors, m.bits[0] != m.written)
-        assert np.array_equal(fold_flips(fold).counts, count_flips(m).counts)
+        assert np.array_equal(fold.flip_counts, count_flips(m))
         assert np.array_equal(classify_fold(fold).labels, classify_cells(m).labels)
+    assert np.array_equal(chip.stored, ref_chip.stored)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    addresses=st.integers(1, 512),
+    pattern=st.sampled_from(list(PATTERNS)),
+    temperature=st.floats(0.0, 70.0),
+    field=st.floats(0.0, 30.0),
+    widths=st.lists(st.floats(0.5, 15.0), min_size=1, max_size=4),
+    n=st.integers(1, 20),
+    start=st.integers(0, 19),
+)
+def test_fold_equals_measure_rows_on_random_chips(seed, addresses, pattern, temperature, field, widths, n, start):
+    """The sparse fold equals the reductions of the dense measure() rows, the
+    chip's final state included.  Each width's rows come from two measure
+    calls split at round ``start``, so the second starts mid-campaign.  At
+    512 addresses a call runs in batches of 8 rounds, and a call of 9 to 15
+    or 17 to 20 rounds ends in a short one."""
+    start %= n
+    chip, ref_chip = create_chip(small_config(addresses), seed), create_chip(small_config(addresses), seed)
+    env, pattern = Environment(temperature_c=temperature, field_mt=field), PATTERNS[pattern]
+    timings = [TimingParams.reduced(t) for t in widths]
+    folds = fold_campaigns(chip, pattern, timings, env, n=n)
+    for fold, t in zip(folds, timings, strict=True):
+        parts = [(0, start), (start, n - start)] if start else [(0, n)]
+        ms = [measure(ref_chip, pattern, t, env, n=k, start_round=s) for s, k in parts]
+        rows, written = np.concatenate([m.bits for m in ms]), ms[0].written
+        assert fold.errors == np.count_nonzero(rows != written)
+        assert np.array_equal(fold.first_errors, rows[0] != written)
+        assert np.array_equal(fold.flip_counts, np.count_nonzero(rows[1:] != rows[:-1], axis=0))
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
@@ -126,8 +162,8 @@ def test_fold_single_round():
     m = measure(_fresh_chip(), DataPattern.solid(0), TimingParams.reduced(2.5), n=1)
     assert fold.error_fraction() == m.error_fraction()
     assert np.array_equal(chip.stored, m.bits[0])
-    with pytest.raises(ValueError, match="2 measurements"):
-        fold_flips(fold)
+    with pytest.raises(ValueError, match="N-1"):
+        select_cells(fold.flip_counts, 1, SelectionThresholds(1))
     with pytest.raises(ValueError, match="2 measurements"):
         classify_fold(fold)
 

@@ -5,7 +5,6 @@ import pytest
 
 from mramtrng.characterize import (
     CellClass,
-    FlipCountVector,
     SelectionThresholds,
     choose_tw,
     classify_cells,
@@ -18,20 +17,14 @@ from mramtrng.characterize import (
     suggest_th_l,
     sweep_tw,
 )
-from mramtrng.device import DataPattern, Environment, MeasurementMatrix, TimingParams, measure
+from mramtrng.device import DataPattern, MeasurementMatrix, TimingParams, measure
 
 
 def _matrix(bits, written=None):
     bits = np.asarray(bits, dtype=bool)
     if written is None:
         written = np.zeros(bits.shape[1], dtype=bool)
-    return MeasurementMatrix(
-        bits=bits,
-        written=np.asarray(written, dtype=bool),
-        pattern=DataPattern.solid(0),
-        t_w_ns=2.5,
-        env=Environment(),
-    )
+    return MeasurementMatrix(bits=bits, written=np.asarray(written, dtype=bool), t_w_ns=2.5)
 
 
 def _brute_force_flips(bits):
@@ -50,17 +43,15 @@ def test_count_flips_matches_brute_force_randomized():
         n = int(rng.integers(2, 11))
         m = int(rng.integers(1, 65))
         bits = rng.random((n, m)) < rng.uniform(0.05, 0.95)
-        fc = count_flips(_matrix(bits))
-        assert np.array_equal(fc.counts, _brute_force_flips(bits))
-        assert fc.n_measurements == n
+        assert np.array_equal(count_flips(_matrix(bits)), _brute_force_flips(bits))
 
 
 def test_count_flips_extremes():
     const = np.ones((50, 4), dtype=bool)
-    assert np.all(count_flips(_matrix(const)).counts == 0)
+    assert np.all(count_flips(_matrix(const)) == 0)
     alt = np.zeros((50, 4), dtype=bool)
     alt[1::2] = True
-    assert np.all(count_flips(_matrix(alt)).counts == 49)
+    assert np.all(count_flips(_matrix(alt)) == 49)
 
 
 def test_count_flips_needs_two_rows():
@@ -101,8 +92,7 @@ def test_select_cells_window_and_stats():
     counts[1] = 16  # boundary, in
     counts[2] = 15  # below
     counts[17] = 49  # upper boundary, in (th_u = N-1)
-    fc = FlipCountVector(counts=counts, n_measurements=50)
-    sel = select_cells(fc, SelectionThresholds(16))
+    sel = select_cells(counts, 50, SelectionThresholds(16))
     assert sel.num_randcell == 3
     assert sel.num_rand_addresses == 2
     assert sel.rand_addr_fraction == 1.0
@@ -117,13 +107,11 @@ def test_select_cells_window_and_stats():
 def test_select_cells_upper_threshold_excludes():
     counts = np.zeros(16, dtype=np.int64)
     counts[3] = 45
-    fc = FlipCountVector(counts=counts, n_measurements=50)
-    assert select_cells(fc, SelectionThresholds(16, 40)).num_randcell == 0
+    assert select_cells(counts, 50, SelectionThresholds(16, 40)).num_randcell == 0
 
 
 def test_empty_selection_is_flagged_not_fatal():
-    fc = FlipCountVector(counts=np.zeros(64, dtype=np.int64), n_measurements=50)
-    sel = select_cells(fc, SelectionThresholds(16))
+    sel = select_cells(np.zeros(64, dtype=np.int64), 50, SelectionThresholds(16))
     assert sel.empty
     assert sel.num_randcell == 0
     assert np.isnan(sel.bits_per_rand_addr)
@@ -151,7 +139,7 @@ def test_classify_cells():
 
 def test_selected_cells_are_noise_prone(fresh_small_chip):
     m = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=20)
-    sel = select_cells(count_flips(m), SelectionThresholds(6))
+    sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     tax = classify_cells(m)
     assert not sel.empty
     assert np.all(tax.labels[sel.cell_indices] == CellClass.NOISE_PRONE)
@@ -163,19 +151,15 @@ def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
     again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=8)
-    assert sweep.flips.n_measurements == 8
-    assert np.array_equal(sweep.flips.counts, count_flips(again).counts)
+    fold = sweep.folds[-1]
+    assert (fold.t_w_ns, fold.n_measurements) == (2.5, 8)
+    assert np.array_equal(fold.flip_counts, count_flips(again))
 
 
 def test_choose_tw_tie_prefers_wider_pulse():
     from mramtrng.characterize import SweepPoint, TimingSweepResult
 
-    res = TimingSweepResult(
-        points=(SweepPoint(2.5, 0.3), SweepPoint(5.0, 0.3), SweepPoint(10.0, 0.1)),
-        pattern=DataPattern.solid(0),
-        env=Environment(),
-        n_measurements=10,
-    )
+    res = TimingSweepResult(points=(SweepPoint(2.5, 0.3), SweepPoint(5.0, 0.3), SweepPoint(10.0, 0.1)))
     assert choose_tw(res) == 5.0
 
 
@@ -191,7 +175,7 @@ def test_sweep_csv(tmp_path, fresh_small_chip):
 def test_selection_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     counts = rng.integers(0, 50, size=4096).astype(np.int64)
-    sel = select_cells(FlipCountVector(counts, 50), SelectionThresholds(45))
+    sel = select_cells(counts, 50, SelectionThresholds(45))
     assert 0 < sel.num_randcell < 4096
     p = tmp_path / "sel.mrsl"
     save_selection(sel, p)
@@ -212,7 +196,7 @@ def test_selection_bad_magic(tmp_path):
 def test_selection_csv_report(tmp_path):
     counts = np.zeros(32, dtype=np.int64)
     counts[0], counts[1], counts[17] = 20, 16, 30
-    sel = select_cells(FlipCountVector(counts, 50), SelectionThresholds(16))
+    sel = select_cells(counts, 50, SelectionThresholds(16))
     p = tmp_path / "sel.csv"
     export_selection_csv(sel, p)
     lines = p.read_text().strip().splitlines()

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,18 @@ def test_characterize_empty_selection_exits_3(chip_file, capsys):
     rc = cli.main(["characterize", str(chip_file), "--tw", "15", "--th-l", "49"])
     assert rc == cli.EXIT_EMPTY_SELECTION
     assert "no cells selected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["characterize", "pipeline"])
+@pytest.mark.parametrize("th_l", [None, "1"])
+def test_fewer_than_two_rounds_exits_2(config_file, chip_file, tmp_path, capsys, command, th_l):
+    # one round has no flips to count, so no cell can be selected from it
+    args = {
+        "characterize": ["characterize", str(chip_file)],
+        "pipeline": ["pipeline", "--config", str(config_file), "--seed", "7", "--out", str(tmp_path)],
+    }[command]
+    assert cli.main(args + ["--n", "1"] + (["--th-l", th_l] if th_l else [])) == cli.EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_characterize_csv_export(chip_file, tmp_path):
@@ -431,6 +447,25 @@ def test_pipeline_golden_artifacts(config_file, tmp_path):
     assert rc == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PIPELINE_GOLDEN_SHA256}
     assert digests == PIPELINE_GOLDEN_SHA256
+
+
+def test_traced_benchmark_run_installs(config_file, tmp_path):
+    """perfbench/trace_child.py wraps every public layer function by name
+    (and binds the signature of device.measure); a traced pipeline on the
+    small recipe runs to the end and records spans of the layers."""
+    root = Path(__file__).resolve().parents[1]
+    result = tmp_path / "result.json"
+    cmd = [
+        sys.executable, str(root / "perfbench" / "trace_child.py"), str(result), "--trace", "--",
+        "pipeline", "--config", str(config_file), "--seed", "7", "--bits", "20000", "--out", str(tmp_path / "run"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(result.read_text())
+    assert traced["code"] == 0
+    names = {span[0] for span in traced["spans"]}
+    assert {"cli.main", "characterize.sweep_tw", "extract.harvest_rounds", "sts.run_battery"} <= names
 
 
 @pytest.mark.parametrize("tw", [None, "5.0", "3.0"])

@@ -10,16 +10,12 @@ from mramtrng.device import (
     MarginalAddressPopulation,
     TauComponent,
     TimingParams,
-    bits_to_words,
     create_chip,
     failure_probability,
     load_chip,
     measure,
-    read,
-    reset,
     save_chip,
     words_to_bits,
-    write,
 )
 
 from conftest import small_config
@@ -97,12 +93,6 @@ def test_word_bit_mapping_is_msb_first():
     assert bits[0] and not bits[1:].any()
     bits = words_to_bits(np.array([0x0001], dtype=np.uint16))
     assert bits[15] and not bits[:15].any()
-
-
-def test_words_bits_roundtrip():
-    rng = np.random.default_rng(2)
-    words = rng.integers(0, 65536, size=500).astype(np.uint16)
-    assert np.array_equal(bits_to_words(words_to_bits(words)), words)
 
 
 # --- chip creation ---------------------------------------------------------
@@ -209,7 +199,7 @@ def test_marginal_bias_is_word_correlated_and_balanced():
 def test_nominal_write_stores_pattern(fresh_small_chip):
     chip = fresh_small_chip
     pattern = DataPattern.random(seed=9)
-    write(chip, pattern, TimingParams.nominal())
+    measure(chip, pattern, TimingParams.nominal(), n=1)
     errors = np.count_nonzero(chip.stored != pattern.bits(chip.num_addresses))
     assert errors / chip.num_cells < 1e-3
 
@@ -218,28 +208,8 @@ def test_no_toggle_means_no_error(fresh_small_chip):
     # pre-read semantics: writing the stored value issues no pulse at all,
     # so even a 2.5 ns campaign of all-ones is error-free
     chip = fresh_small_chip
-    reset(chip)
-    write(chip, DataPattern.solid(0xFFFF), TimingParams.reduced(2.5))
-    assert chip.stored.all()
-
-
-def test_read_returns_written_words(fresh_small_chip):
-    chip = fresh_small_chip
-    pattern = DataPattern.checkerboard()
-    write(chip, pattern, TimingParams.nominal())
-    words = read(chip, start=10, count=6)
-    assert np.array_equal(words, pattern.words(np.arange(10, 16)))
-    with pytest.raises(IndexError):
-        read(chip, start=0, count=chip.num_addresses + 1)
-    with pytest.raises(IndexError):
-        read(chip, start=-1, count=2)
-
-
-def test_reset_presets_all_ones(fresh_small_chip):
-    chip = fresh_small_chip
-    write(chip, DataPattern.solid(0x0000), TimingParams.nominal())
-    reset(chip)
-    assert np.all(read(chip) == 0xFFFF)
+    m = measure(chip, DataPattern.solid(0xFFFF), TimingParams.reduced(2.5), n=3)
+    assert m.bits.all() and chip.stored.all()
 
 
 def test_pattern_exposure_ordering(fresh_small_chip):
@@ -347,7 +317,7 @@ def test_reduced_write_error_band(fresh_small_chip):
 
 def test_chip_file_roundtrip(tmp_path, fresh_small_chip):
     chip = fresh_small_chip
-    write(chip, DataPattern.random(seed=1), TimingParams.reduced(5.0))
+    measure(chip, DataPattern.random(seed=1), TimingParams.reduced(5.0), n=1)
     p = tmp_path / "chip.mrtg"
     save_chip(chip, p)
     again = load_chip(p)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import first_cells
-from mramtrng import extract
+from mramtrng import device
 from mramtrng.device import DataPattern, Environment, TimingParams, measure
 from mramtrng.extract import (
     Bitstream,
     BlockParams,
     condition,
-    harvest,
     harvest_rounds,
     load_bitstream,
     plan_harvest,
@@ -164,10 +163,9 @@ def _chip_copy(chip):
     return dataclasses.replace(chip, stored=chip.stored.copy())
 
 
-# harvest runs its own dense, round-batched kernel; measure is the reference.
 # Each case: (rounds, start_round, t_w ns, env, pattern, cells kept or None);
 # rounds None is two whole batches and 5 rounds more.
-_BATCH = extract._HARVEST_WORDS  # rounds per batch is this over the cell count
+_BATCH = device._BATCH_WORDS  # rounds per batch is this over the cell count
 HARVEST_CASES = {
     "solid": (5, 0, 2.5, Environment(), DataPattern.solid(0), None),
     # cells whose target is 1 do not toggle and read back 1
@@ -196,7 +194,7 @@ def test_harvest_order_is_round_major_then_cell(chip_and_selection, name):
     chip, sel = chip_and_selection
     sel, rounds, start, timing, env, pattern = _case(sel, name)
     got_chip, ref_chip = _chip_copy(chip), _chip_copy(chip)
-    bs = harvest(got_chip, sel, rounds=rounds, timing=timing, env=env, pattern=pattern, start_round=start)
+    bs = harvest_rounds(plan_harvest(got_chip, sel, timing, env, pattern), rounds, start)
     ref = measure(
         ref_chip, pattern, timing, env, n=rounds, start_round=start,
         cell_indices=sel.cell_indices,
@@ -224,7 +222,7 @@ def test_harvest_subset_equals_full_array_columns(chip_and_selection, name):
     sel, rounds, start, timing, env, pattern = _case(sel, name)
     got_chip, ref_chip = _chip_copy(chip), _chip_copy(chip)
     idx = sel.cell_indices
-    bs = harvest(got_chip, sel, rounds=rounds, timing=timing, env=env, pattern=pattern, start_round=start)
+    bs = harvest_rounds(plan_harvest(got_chip, sel, timing, env, pattern), rounds, start)
     full = measure(ref_chip, pattern, timing, env, n=rounds, start_round=start)
     assert np.array_equal(bs.bits.reshape(rounds, -1), full.bits[:, idx])
     assert np.array_equal(got_chip.stored[idx], ref_chip.stored[idx])
@@ -242,8 +240,8 @@ def test_harvest_rounds_validation(chip_and_selection):
 def test_harvest_provenance_and_determinism(chip_and_selection):
     chip, sel = chip_and_selection
     timing = TimingParams.reduced(2.5)
-    a = harvest(chip, sel, rounds=3, timing=timing)
-    b = harvest(chip, sel, rounds=3, timing=timing)
+    a = harvest_rounds(plan_harvest(chip, sel, timing), 3)
+    b = harvest_rounds(plan_harvest(chip, sel, timing), 3)
     assert np.array_equal(a.bits, b.bits)
     for key in ("chip_id", "seed", "t_w_ns", "selection_sha256", "rounds", "num_randcell"):
         assert key in a.provenance
@@ -255,7 +253,7 @@ def test_harvest_rejects_empty_selection(chip_and_selection):
     chip, sel = chip_and_selection
     empty = dataclasses.replace(sel, mask=np.zeros_like(sel.mask))
     with pytest.raises(ValueError, match="empty"):
-        harvest(chip, empty, rounds=1, timing=TimingParams.reduced(2.5))
+        plan_harvest(chip, empty, TimingParams.reduced(2.5))
 
 
 # --- stream files ----------------------------------------------------------

@@ -13,8 +13,9 @@ from mramtrng.device import Environment, TimingParams
 from mramtrng.extract import (
     BlockParams,
     condition,
-    harvest,
+    harvest_rounds,
     load_bitstream,
+    plan_harvest,
     required_rounds,
     save_bitstream,
 )
@@ -43,7 +44,7 @@ def test_chunked_output_equals_one_shot(small_chip, small_selection, tmp_path, c
     for files in runs.values():
         assert files == runs[rounds]
 
-    raw = harvest(small_chip, sel, rounds=rounds, timing=TimingParams.reduced(2.5), env=Environment())
+    raw = harvest_rounds(plan_harvest(small_chip, sel, TimingParams.reduced(2.5), Environment()), rounds)
     conditioned = condition(raw, BlockParams())
     save_bitstream(raw, tmp_path / "raw.bits")
     save_bitstream(conditioned, tmp_path / "conditioned.bits")

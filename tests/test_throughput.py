@@ -103,7 +103,7 @@ def timed_setup():
     chip = create_chip(small_config(), seed=7)
     timing = TimingParams.reduced(2.5)
     m = measure(chip, DataPattern.solid(0), timing, n=20)
-    sel = select_cells(count_flips(m), SelectionThresholds(6))
+    sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     assert not sel.empty
     return chip, sel, timing
 
