@@ -7,6 +7,7 @@ kernel of `fold_campaigns`.  These tests require the two to agree exactly.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +175,109 @@ def test_fold_rejects_bad_arguments():
         fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(2.5)], n=0)
     with pytest.raises(ValueError, match="pulse width"):
         fold_campaigns(chip, DataPattern.solid(0), [], n=5)
+
+
+# --- the fold split across processes -----------------------------------------
+
+# ten blocks of the unit-test chip's 32,768 cells, the last one partial, so
+# three processes fold 4, 3 and 3 of them
+SPLIT_BLOCK = 3300
+
+
+def _split_fold(monkeypatch, workers):
+    """The four-width, 50-round fold of a fresh unit-test chip, in ten blocks
+    shared by ``workers`` processes; returns the folds and the chip."""
+    monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
+    monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(workers, blocks))
+    chip = _fresh_chip()
+    timings = [TimingParams.reduced(t) for t in WIDTHS]
+    return fold_campaigns(chip, PATTERNS["random"], timings, ENVS["ref"], n=50), chip
+
+
+def _assert_same_fold(got, want):
+    (folds, chip), (ref_folds, ref_chip) = got, want
+    for fold, ref in zip(folds, ref_folds, strict=True):
+        assert fold.errors == ref.errors
+        assert fold.flip_counts.dtype == ref.flip_counts.dtype
+        assert np.array_equal(fold.flip_counts, ref.flip_counts)
+        assert np.array_equal(fold.first_errors, ref.first_errors)
+    assert np.array_equal(chip.stored, ref_chip.stored)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fold_workers_rule(monkeypatch):
+    """One process per usable CPU, at most one per block, and only the
+    calling process where os.fork does not exist."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert [device._fold_workers(b) for b in (1, 2, 64)] == [1, min(2, cpus), min(64, cpus)]
+    monkeypatch.delattr(os, "fork")
+    assert device._fold_workers(64) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fold_split_equals_in_process_fold(monkeypatch, workers):
+    ref = _split_fold(monkeypatch, 1)
+    _assert_same_fold(_split_fold(monkeypatch, workers), ref)
+    _assert_no_child_left()
+
+
+def test_fold_falls_back_in_process_when_fork_fails(monkeypatch):
+    ref = _split_fold(monkeypatch, 1)
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _assert_same_fold(_split_fold(monkeypatch, 3), ref)
+
+
+def test_fold_raises_when_a_worker_fails(monkeypatch):
+    """A worker whose kernel raises sends nothing and exits 1, and the parent
+    raises instead of returning a partial fold; a worker that sends its data
+    but exits non-zero fails the fold too."""
+    parent, kernel = os.getpid(), device._write_errors
+
+    def failing_in_workers(*args):
+        if os.getpid() != parent:
+            raise MemoryError("worker out of memory")
+        return kernel(*args)
+
+    chip = _fresh_chip()
+    before = chip.stored.copy()
+    monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
+    monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(3, blocks))
+    monkeypatch.setattr(device, "_write_errors", failing_in_workers)
+    timings = [TimingParams.reduced(t) for t in WIDTHS]
+    with pytest.raises(ChildProcessError, match="short data"):
+        fold_campaigns(chip, PATTERNS["random"], timings, n=50)
+    assert np.array_equal(chip.stored, before)
+    _assert_no_child_left()
+
+    monkeypatch.setattr(device, "_write_errors", kernel)
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 3))
+    with pytest.raises(ChildProcessError, match="exit codes"):
+        fold_campaigns(chip, PATTERNS["random"], timings, n=50)
+    assert np.array_equal(chip.stored, before)
+    _assert_no_child_left()
+
+
+def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch):
+    parent, kernel = os.getpid(), device._write_errors
+
+    def failing_in_parent(*args):
+        if os.getpid() == parent:
+            raise ValueError("parent block failed")
+        return kernel(*args)
+
+    monkeypatch.setattr(device, "_write_errors", failing_in_parent)
+    with pytest.raises(ValueError, match="parent block failed"):
+        _split_fold(monkeypatch, 3)
+    _assert_no_child_left()
 
 
 # --- integer thresholds -------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import small_config
-from mramtrng import cli
+from mramtrng import characterize, cli
 from mramtrng.device import default_config, load_chip
 
 
@@ -179,13 +179,47 @@ def test_characterize_empty_selection_exits_3(chip_file, capsys):
 @pytest.mark.parametrize("command", ["characterize", "pipeline"])
 @pytest.mark.parametrize("th_l", [None, "1"])
 def test_fewer_than_two_rounds_exits_2(config_file, chip_file, tmp_path, capsys, command, th_l):
-    # one round has no flips to count, so no cell can be selected from it
+    # one round has no flips to count, so no cell can be selected from it;
+    # the run stops before it writes anything
+    out = tmp_path / "out"
     args = {
-        "characterize": ["characterize", str(chip_file)],
-        "pipeline": ["pipeline", "--config", str(config_file), "--seed", "7", "--out", str(tmp_path)],
+        "characterize": ["characterize", str(chip_file), "--out", str(out)],
+        "pipeline": ["pipeline", "--config", str(config_file), "--seed", "7", "--out", str(out)],
     }[command]
     assert cli.main(args + ["--n", "1"] + (["--th-l", th_l] if th_l else [])) == cli.EXIT_USAGE
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+class _FoldReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["sweep", "characterize", "pipeline"])
+def test_rounds_beyond_rated_maximum_exit_2(config_file, chip_file, tmp_path, capsys, monkeypatch, command):
+    """--n above MAX_ROUNDS exits 2 with one line before any fold or file
+    write; --n at MAX_ROUNDS reaches the fold (stubbed, so it does not run)."""
+    reached = []
+
+    def stub_fold(chip, pattern, timings, env=None, n=50):
+        reached.append(n)
+        raise _FoldReached
+
+    monkeypatch.setattr(characterize, "fold_campaigns", stub_fold)
+    monkeypatch.setattr(cli, "fold_campaigns", stub_fold)
+    out = tmp_path / "out"
+    args = {
+        "sweep": ["sweep", str(chip_file), "--out", str(out)],
+        "characterize": ["characterize", str(chip_file), "--out", str(out)],
+        "pipeline": ["pipeline", "--config", str(config_file), "--seed", "7", "--out", str(out)],
+    }[command]
+    assert cli.main(args + ["--n", str(cli.MAX_ROUNDS + 1)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--n" in err[0] and str(cli.MAX_ROUNDS) in err[0]
+    assert not reached and not out.exists()
+    with pytest.raises(_FoldReached):
+        cli.main(args + ["--n", str(cli.MAX_ROUNDS)])
+    assert reached == [cli.MAX_ROUNDS]
 
 
 def test_characterize_csv_export(chip_file, tmp_path):
@@ -466,6 +500,30 @@ def test_traced_benchmark_run_installs(config_file, tmp_path):
     assert traced["code"] == 0
     names = {span[0] for span in traced["spans"]}
     assert {"cli.main", "characterize.sweep_tw", "extract.harvest_rounds", "sts.run_battery"} <= names
+
+
+def test_traced_run_with_fold_workers_matches_untraced(tmp_path):
+    """A recipe of 4,096 addresses spans two fold blocks, so where a second
+    CPU is usable the fold forks a worker under the span wrappers; the traced
+    run still exits 0, records the sweep and the harvest, and writes the
+    bytes of an untraced run."""
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "chip.json"
+    config.write_text(json.dumps(small_config(4096).to_dict()), encoding="utf-8")
+    args = ["pipeline", "--config", str(config), "--seed", "7", "--bits", "20000", "--out"]
+    result, traced_out, plain_out = tmp_path / "result.json", tmp_path / "traced", tmp_path / "plain"
+    cmd = [sys.executable, str(root / "perfbench" / "trace_child.py"), str(result), "--trace", "--", *args, str(traced_out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(result.read_text())
+    assert traced["code"] == 0
+    assert {"characterize.sweep_tw", "extract.harvest_rounds"} <= {span[0] for span in traced["spans"]}
+    assert cli.main([*args, str(plain_out)]) == 0
+    names = sorted(p.name for p in plain_out.iterdir())
+    assert names == sorted(p.name for p in traced_out.iterdir())
+    for name in names:
+        assert (traced_out / name).read_bytes() == (plain_out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("tw", [None, "5.0", "3.0"])
