@@ -92,12 +92,10 @@ class CellSelection:
     """The random-cell map of a chip at one threshold setting."""
 
     mask: np.ndarray
-    flip_counts: np.ndarray
     n_measurements: int
     th_l: int
     th_u: int
     num_addresses: int
-    word_width: int = WORD_WIDTH
 
     @property
     def num_randcell(self) -> int:
@@ -131,13 +129,13 @@ class CellSelection:
         """The ascending addresses that hold selected cells: those of the
         ascending cell indices, deduplicated, which is far faster than
         any(axis=1) over the whole array."""
-        addr = self.cell_indices // self.word_width
+        addr = self.cell_indices // WORD_WIDTH
         return addr[np.diff(addr, prepend=-1) != 0]
 
     def address_words(self) -> tuple[np.ndarray, np.ndarray]:
         """(addresses, 16-bit masks) for the compact on-disk form; bit j of
         a mask (MSB first) marks cell address*16+j as selected."""
-        per_addr = self.mask.reshape(self.num_addresses, self.word_width)
+        per_addr = self.mask.reshape(self.num_addresses, WORD_WIDTH)
         addrs = self._addresses()
         masks = np.packbits(per_addr[addrs], axis=1).view(">u2")[:, 0]
         return addrs.astype(np.uint32), masks.astype(np.uint16)
@@ -155,7 +153,6 @@ def select_cells(counts: np.ndarray, n_measurements: int, thresholds: SelectionT
     mask = (counts >= th_l) & (counts <= th_u)
     return CellSelection(
         mask=mask,
-        flip_counts=counts,
         n_measurements=n_measurements,
         th_l=th_l,
         th_u=th_u,
@@ -213,28 +210,18 @@ def classify_fold(fold: CampaignFold) -> CellTaxonomy:
 # --- write-timing sweep ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    t_w_ns: float
-    error_fraction: float
-
-
 @dataclass
 class TimingSweepResult:
-    points: tuple[SweepPoint, ...]
-    # each width's folded campaign, in the order of points, for reuse
-    folds: tuple[CampaignFold, ...] = ()
+    # each width's folded campaign, in sweep order; each holds its width
+    # and error fraction, and is reused when the harvest width was swept
+    folds: tuple[CampaignFold, ...]
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t_w_ns", "error_fraction"])
-            for p in self.points:
-                w.writerow([f"{p.t_w_ns:g}", f"{p.error_fraction:.6f}"])
-
-
-def _pick_key(p: SweepPoint) -> tuple[float, float]:
-    return p.error_fraction, p.t_w_ns
+            for f in self.folds:
+                w.writerow([f"{f.t_w_ns:g}", f"{f.error_fraction():.6f}"])
 
 
 def sweep_tw(
@@ -250,15 +237,14 @@ def sweep_tw(
     if not tw_list:
         raise ValueError("sweep needs at least one pulse width")
     pattern = pattern or DataPattern.solid(0x0000)
-    folds = fold_campaigns(chip, pattern, [TimingParams.reduced(t) for t in tw_list], env, n=n)
-    points = tuple(SweepPoint(t_w_ns=float(f.t_w_ns), error_fraction=f.error_fraction()) for f in folds)
-    return TimingSweepResult(points=points, folds=tuple(folds))
+    folds = fold_campaigns(chip, pattern, [TimingParams(float(t)) for t in tw_list], env, n=n)
+    return TimingSweepResult(tuple(folds))
 
 
 def choose_tw(sweep: TimingSweepResult) -> float:
     """The harvesting pulse width: maximum error rate, ties to the wider
     (gentler) pulse."""
-    return max(sweep.points, key=_pick_key).t_w_ns
+    return max(sweep.folds, key=lambda f: (f.error_fraction(), f.t_w_ns)).t_w_ns
 
 
 # --- persistence -----------------------------------------------------------
@@ -275,7 +261,7 @@ def selection_to_bytes(sel: CellSelection) -> bytes:
         _SEL_MAGIC,
         _SEL_VERSION,
         sel.num_addresses,
-        sel.word_width,
+        WORD_WIDTH,
         sel.th_l,
         sel.th_u,
         sel.n_measurements,
@@ -296,17 +282,23 @@ def save_selection(sel: CellSelection, path: str | Path) -> None:
         fh.write(selection_to_bytes(sel))
 
 
-def load_selection(path: str | Path) -> CellSelection:
+def load_selection(path: str | Path, num_addresses: int) -> CellSelection:
+    """The selection in ``path``, which must be for a chip of
+    ``num_addresses`` addresses; checked before the mask is allocated."""
     data = Path(path).read_bytes()
     if data[:4] != _SEL_MAGIC:
         raise ValueError(f"{path}: not a selection file (bad magic)")
     if len(data) < _SEL_HEADER.size:
         raise ValueError(f"{path}: truncated selection file header")
-    _, version, num_addresses, word_width, th_l, th_u, n_meas, n_entries = _SEL_HEADER.unpack_from(data)
+    _, version, sel_addresses, word_width, th_l, th_u, n_meas, n_entries = _SEL_HEADER.unpack_from(data)
     if version != _SEL_VERSION:
         raise ValueError(f"{path}: unsupported selection file version {version}")
     if word_width != WORD_WIDTH:
         raise ValueError(f"{path}: word width must be {WORD_WIDTH}, got {word_width}")
+    if sel_addresses != num_addresses:
+        raise ValueError(
+            f"{path}: selection is for {sel_addresses} addresses, but the chip has {num_addresses}"
+        )
     if len(data) != _SEL_HEADER.size + n_entries * _SEL_ENTRY.itemsize:
         raise ValueError(
             f"{path}: header lists {n_entries} entries but the file size is {len(data)} bytes"
@@ -319,26 +311,24 @@ def load_selection(path: str | Path) -> CellSelection:
         )
     # bit j of a mask, MSB first, is cell address*16+j
     mask_bytes = entries["mask"].astype(">u2").view(np.uint8).reshape(-1, 2)
-    per_addr = np.zeros((num_addresses, word_width), dtype=bool)
+    per_addr = np.zeros((num_addresses, WORD_WIDTH), dtype=bool)
     per_addr[entries["addr"]] = np.unpackbits(mask_bytes, axis=1).astype(bool)
     return CellSelection(
         mask=per_addr.reshape(-1),
-        flip_counts=np.zeros(per_addr.size, dtype=np.int64),  # not stored on disk
         n_measurements=n_meas,
         th_l=th_l,
         th_u=th_u,
         num_addresses=num_addresses,
-        word_width=word_width,
     )
 
 
-def export_selection_csv(sel: CellSelection, path: str | Path) -> None:
+def export_selection_csv(sel: CellSelection, flip_counts: np.ndarray, path: str | Path) -> None:
     """Human-readable report: one row per random address with its mask and
-    the flip count of each of the 16 bits."""
+    the flip count, from the per-cell ``flip_counts``, of each of its 16 bits."""
     addrs, masks = sel.address_words()
-    fc = sel.flip_counts.reshape(sel.num_addresses, sel.word_width)
+    fc = flip_counts.reshape(sel.num_addresses, WORD_WIDTH)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["address", "mask_hex"] + [f"flips_bit{j}" for j in range(sel.word_width)])
+        w.writerow(["address", "mask_hex"] + [f"flips_bit{j}" for j in range(WORD_WIDTH)])
         for a, m in zip(addrs, masks):
             w.writerow([int(a), f"{int(m):04x}"] + [int(v) for v in fc[a]])

@@ -51,8 +51,9 @@ from .device import (
     save_chip,
 )
 from .extract import (
+    B_LEN,
+    D_LEN,
     MAX_STREAM_BITS,
-    BlockParams,
     conditioned_provenance,
     digest_blocks,
     harvest_rounds,
@@ -62,7 +63,7 @@ from .extract import (
     required_rounds,
     save_provenance,
 )
-from .sts import BatteryConfig, import_sts, run_battery
+from .sts import import_sts, run_battery
 from .throughput import (
     REFERENCE_T_HASH_NS,
     REFERENCE_T_RW_NS,
@@ -163,10 +164,13 @@ def _format(args: argparse.Namespace) -> str:
 
 
 def _thresholds(args: argparse.Namespace, n: int) -> SelectionThresholds:
+    """--th-l and --th-u, checked against ``n`` rounds before any work starts."""
     th_l = _opt(args, "th_l", int)
     if th_l is None:
         th_l = suggest_th_l(n)
-    return SelectionThresholds(th_l=th_l, th_u=_opt(args, "th_u", int))
+    thresholds = SelectionThresholds(th_l=th_l, th_u=_opt(args, "th_u", int))
+    thresholds.resolve(n)
+    return thresholds
 
 
 def _rounds(args: argparse.Namespace, least: int) -> int:
@@ -215,28 +219,22 @@ def _chip_and_selection(args: argparse.Namespace) -> tuple[ChipModel, CellSelect
     """The chip and selection files named on the command line, which must
     describe arrays of the same size."""
     chip = load_chip(args.chip)
-    sel = load_selection(args.selection)
-    if sel.num_addresses != chip.num_addresses:
-        raise ValueError(
-            f"{args.selection}: selection is for {sel.num_addresses} addresses, "
-            f"but chip {args.chip} has {chip.num_addresses}"
-        )
-    return chip, sel
+    return chip, load_selection(args.selection, chip.num_addresses)
 
 
 def _fold_and_select(
     chip: ChipModel,
-    tw: float,
+    timing: TimingParams,
     env: Environment,
     n: int,
     thresholds: SelectionThresholds,
     sweep: TimingSweepResult | None = None,
 ) -> tuple[CampaignFold, CellSelection]:
-    """The solid-0 campaign at ``tw``, folded, and the cells it selects;
-    the fold of ``sweep`` is reused when the sweep visited ``tw``."""
-    fold = next((f for f in sweep.folds if f.t_w_ns == tw), None) if sweep else None
+    """The solid-0 campaign at ``timing``, folded, and the cells it selects;
+    the fold of ``sweep`` is reused when the sweep visited its width."""
+    fold = next((f for f in sweep.folds if f.t_w_ns == timing.t_w_ns), None) if sweep else None
     if fold is None:
-        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(tw)], env, n=n)
+        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [timing], env, n=n)
     return fold, select_cells(fold.flip_counts, n, thresholds)
 
 
@@ -257,7 +255,7 @@ def _generate_into(
     out: Path,
     chip: ChipModel,
     sel: CellSelection,
-    tw: float,
+    timing: TimingParams,
     bits: int,
     env: Environment,
     *,
@@ -270,12 +268,11 @@ def _generate_into(
     Raw bits short of a whole block carry over into the next chunk; the
     last partial block is written to raw.bits and not conditioned.
     """
-    block = BlockParams()
     rounds, raw_bits = _raw_size(bits, sel.num_randcell)
-    cond_bits = raw_bits // block.b_len * block.d_len
+    cond_bits = raw_bits // B_LEN * D_LEN
     if chunk_rounds is None:
         chunk_rounds = max(1, HARVEST_CHUNK_BITS // sel.num_randcell)
-    plan = plan_harvest(chip, sel, TimingParams.reduced(tw), env)
+    plan = plan_harvest(chip, sel, timing, env)
     carry = np.empty(0, dtype=bool)
     with open_bitstream(out / "raw.bits", raw_bits) as raw_fh, open_bitstream(
         out / "conditioned.bits", cond_bits
@@ -284,13 +281,13 @@ def _generate_into(
             chunk = harvest_rounds(plan, min(chunk_rounds, rounds - start), start_round=start)
             # no copy of the chunk while nothing is carried (one-chunk runs)
             pending = np.concatenate([carry, chunk.bits]) if carry.size else chunk.bits
-            whole = len(pending) - len(pending) % block.b_len
+            whole = len(pending) - len(pending) % B_LEN
             packed = np.packbits(pending[:whole]).tobytes()
             raw_fh.write(packed)
-            cond_fh.write(digest_blocks(packed, block))
+            cond_fh.write(digest_blocks(packed))
             carry = pending[whole:].copy()  # a view would keep the whole chunk alive
         raw_fh.write(np.packbits(carry).tobytes())
-    prov = conditioned_provenance(dict(plan.provenance, rounds=rounds), raw_bits, block)
+    prov = conditioned_provenance(dict(plan.provenance, rounds=rounds), raw_bits)
     save_provenance(out / "provenance.json", "conditioned", cond_bits, prov)
     return rounds, raw_bits, cond_bits
 
@@ -306,7 +303,7 @@ def _reference_inputs(sel: CellSelection) -> ThroughputInputs:
 
 def _battery_report(streams, fmt: str):
     """Run the battery; returns (summary, report body in ``fmt``)."""
-    summary = run_battery(streams, BatteryConfig())
+    summary = run_battery(streams)
     return summary, summary.to_csv() if fmt == "csv" else summary.report() + "\n"
 
 
@@ -331,8 +328,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     env = _environment(args)
     result = sweep_tw(chip, env=env, n=n)
     best = choose_tw(result)
-    for p in result.points:
-        print(f"t_w = {p.t_w_ns:6.2f} ns   error fraction = {p.error_fraction:.4f}")
+    for f in result.folds:
+        print(f"t_w = {f.t_w_ns:6.2f} ns   error fraction = {f.error_fraction():.4f}")
     print(f"harvest pulse width: {best} ns")
     out = _opt(args, "out", str)
     if out is not None:
@@ -344,12 +341,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     # one round has no flips to count, so no cell can be selected from it
     n = _rounds(args, 2)
+    thresholds = _thresholds(args, n)
+    timing = TimingParams(_opt(args, "tw", float, 2.5))
     chip = load_chip(args.chip)
-    tw = _opt(args, "tw", float, 2.5)
-    fold, sel = _fold_and_select(chip, tw, _environment(args), n, _thresholds(args, n))
+    fold, sel = _fold_and_select(chip, timing, _environment(args), n, thresholds)
     taxonomy = classify_fold(fold)
     print(
-        f"t_w = {tw} ns, N = {n}: error fraction {fold.error_fraction():.4f}, "
+        f"t_w = {timing.t_w_ns} ns, N = {n}: error fraction {fold.error_fraction():.4f}, "
         f"invariant cells {100 * taxonomy.invariant_fraction:.2f}%"
     )
     print(
@@ -364,7 +362,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     out = _opt(args, "out", str)
     if out is not None:
         if _format(args) == "csv":
-            export_selection_csv(sel, out)
+            export_selection_csv(sel, fold.flip_counts, out)
         else:
             save_selection(sel, out)
         print(f"wrote {out}")
@@ -376,12 +374,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if sel.empty:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
-    tw = _opt(args, "tw", float, 2.5)
+    timing = TimingParams(_opt(args, "tw", float, 2.5))
     bits = _opt(args, "bits", int, 1_000_000)
     _raw_size(bits, sel.num_randcell)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
-    rounds, raw_bits, cond_bits = _generate_into(out, chip, sel, tw, bits, _environment(args))
+    rounds, raw_bits, cond_bits = _generate_into(out, chip, sel, timing, bits, _environment(args))
     print(f"harvested {raw_bits} raw bits over {rounds} rounds, conditioned to {cond_bits} bits")
     print(f"wrote raw.bits, conditioned.bits, provenance.json to {out}")
     return EXIT_OK
@@ -412,8 +410,8 @@ def cmd_throughput(args: argparse.Namespace) -> int:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
     if args.measured:
-        tw = _opt(args, "tw", float, 2.5)
-        inputs = measure_pipeline_times(chip, sel, TimingParams.reduced(tw), _environment(args))
+        timing = TimingParams(_opt(args, "tw", float, 2.5))
+        inputs = measure_pipeline_times(chip, sel, timing, _environment(args))
     else:
         inputs = _reference_inputs(sel)
     estimate = throughput(inputs)
@@ -429,10 +427,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # run that cannot fit then cannot fit with any selection
     _raw_size(bits, 1)
     n = _rounds(args, 2)
-    out = Path(_opt(args, "out", str, "."))
-    out.mkdir(parents=True, exist_ok=True)
+    thresholds = _thresholds(args, n)
+    tw = _opt(args, "tw", float)
+    timing = TimingParams(tw) if tw is not None else None
     env = _environment(args)
     fmt = _format(args)
+    out = Path(_opt(args, "out", str, "."))
+    out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(config)
 
     chip = create_chip(config, seed=seed)
@@ -440,15 +441,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     sweep = sweep_tw(chip, env=env, n=n)
     sweep.to_csv(out / "sweep.csv")
-    tw = _opt(args, "tw", float)
-    if tw is None:
-        tw = choose_tw(sweep)
-    print(f"harvest pulse width: {tw} ns")
+    if timing is None:
+        timing = TimingParams(choose_tw(sweep))
+    print(f"harvest pulse width: {timing.t_w_ns} ns")
 
-    thresholds = _thresholds(args, n)
-    _, sel = _fold_and_select(chip, tw, env, n, thresholds, sweep)
+    _, sel = _fold_and_select(chip, timing, env, n, thresholds, sweep)
     run_cfg = _run_config(
-        args, "pipeline", config, config_path, seed=seed, tw=tw, n=n, th=thresholds, bits=bits
+        args, "pipeline", config, config_path, seed=seed, tw=timing.t_w_ns, n=n, th=thresholds, bits=bits
     )
     (out / "run.json").write_text(
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -462,7 +461,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"({sel.bits_per_rand_addr:.2f} bits/address, digest {selection_digest(sel)[:16]})"
     )
 
-    _generate_into(out, chip, sel, tw, bits, env)
+    _generate_into(out, chip, sel, timing, bits, env)
     conditioned = load_bitstream(out / "conditioned.bits", kind="conditioned")
 
     n_streams = max(1, len(conditioned) // PIPELINE_STREAM_BITS)
@@ -578,9 +577,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -42,6 +42,9 @@ from .rng import CounterRng, draw_rows, draw_threshold, draws, hash_words16
 
 WORD_WIDTH = 16
 
+# full write cycle of the part: no write pulse is longer
+T_WC_NS = 35.0
+
 # reference temperature for tau calibration and rated operating window
 T_REF_C = 26.0
 TEMP_MIN_C = 0.0
@@ -76,45 +79,14 @@ _BATCH_WORDS = 1 << 16
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Write-cycle timing in nanoseconds.
+    """The write pulse width in nanoseconds, the one timing the switching
+    model reads; it must fit in the T_WC_NS write cycle."""
 
-    t_wc_ns is the full write cycle, t_w_ns the write pulse width under
-    test, t_wr_ns the recovery time and t_dv_ns the data-valid window.
-    Only t_w_ns enters the switching model; the others are carried for
-    report fidelity and sanity-checked for consistency.
-    """
-
-    t_wc_ns: float = 35.0
     t_w_ns: float = 15.0
-    t_wr_ns: float = 12.0
-    t_dv_ns: float = 10.0
 
     def __post_init__(self):
-        for name in ("t_wc_ns", "t_w_ns", "t_wr_ns", "t_dv_ns"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.t_w_ns > self.t_wc_ns:
-            raise ValueError(
-                f"write pulse t_w={self.t_w_ns} ns cannot exceed cycle t_wc={self.t_wc_ns} ns"
-            )
-        if self.t_dv_ns > self.t_w_ns:
-            raise ValueError(
-                f"data-valid window t_dv={self.t_dv_ns} ns cannot exceed pulse t_w={self.t_w_ns} ns"
-            )
-
-    @classmethod
-    def nominal(cls) -> "TimingParams":
-        """Datasheet-recommended write timing (15 ns pulse)."""
-        return cls()
-
-    @classmethod
-    def reduced(cls, t_w_ns: float) -> "TimingParams":
-        """Nominal cycle with the write pulse narrowed to ``t_w_ns``."""
-        return cls(t_w_ns=t_w_ns, t_dv_ns=min(10.0, t_w_ns))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        if not 0.0 < self.t_w_ns <= T_WC_NS:
+            raise ValueError(f"write pulse t_w must lie in (0, {T_WC_NS:g}] ns, got {self.t_w_ns}")
 
 
 @dataclass(frozen=True)
@@ -475,16 +447,13 @@ class ChipModel:
 
     chip_id: str
     num_addresses: int
-    word_width: int
     cells: CellParams
     stored: np.ndarray
     env_coeffs: EnvCoeffs
     seed: int
 
     def __post_init__(self):
-        if self.word_width != WORD_WIDTH:
-            raise ValueError(f"only {WORD_WIDTH}-bit words are supported")
-        if len(self.cells) != self.num_addresses * self.word_width:
+        if len(self.cells) != self.num_addresses * WORD_WIDTH:
             raise ValueError("cell parameter arrays do not match the address count")
         if self.stored.shape != (len(self.cells),):
             raise ValueError("stored-state array does not match the cell count")
@@ -560,7 +529,6 @@ def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> Ch
     return ChipModel(
         chip_id=chip_id or config.chip_id,
         num_addresses=a_count,
-        word_width=WORD_WIDTH,
         cells=cells,
         stored=np.ones(m, dtype=bool),
         env_coeffs=config.env,
@@ -952,7 +920,8 @@ def fold_campaigns(
 
 # ---------------------------------------------------------------------------
 # chip file format: magic 'MRTG', u16 version, then the ChipModel fields in
-# declaration order, little-endian; arrays as raw f64, stored bits packed.
+# declaration order, with the u16 word width (always 16) after the address
+# count, little-endian; arrays as raw f64, stored bits packed.
 
 def save_chip(chip: ChipModel, path: str | Path) -> None:
     cid = chip.chip_id.encode("utf-8")
@@ -961,7 +930,7 @@ def save_chip(chip: ChipModel, path: str | Path) -> None:
         fh.write(struct.pack("<H", _CHIP_VERSION))
         fh.write(struct.pack("<H", len(cid)))
         fh.write(cid)
-        fh.write(struct.pack("<IH", chip.num_addresses, chip.word_width))
+        fh.write(struct.pack("<IH", chip.num_addresses, WORD_WIDTH))
         for arr in (
             chip.cells.tau_ns,
             chip.cells.steepness,
@@ -1008,7 +977,7 @@ def load_chip(path: str | Path) -> ChipModel:
             raise ValueError(f"{path}: word width must be {WORD_WIDTH}, got {word_width}")
         if num_addresses == 0:
             raise ValueError(f"{path}: chip file lists no addresses")
-        m = num_addresses * word_width
+        m = num_addresses * WORD_WIDTH
         # four f64 arrays, the packed stored bits, two f64 coefficients, the u64 seed
         expected = fh.tell() + 4 * 8 * m + (m + 7) // 8 + 16 + 8
         size = os.fstat(fh.fileno()).st_size
@@ -1027,7 +996,6 @@ def load_chip(path: str | Path) -> ChipModel:
     return ChipModel(
         chip_id=chip_id,
         num_addresses=num_addresses,
-        word_width=word_width,
         cells=cells,
         stored=stored,
         env_coeffs=EnvCoeffs(temp_tau_slope_ns_per_c=slope, field_threshold_mt=thresh),

@@ -3,11 +3,10 @@
 Harvesting repeats the reduced-timing campaign and appends, per round,
 the readout values of the selected cells in ascending (address, bit)
 order.  The raw stream is then conditioned in fixed-size blocks: every
-``b_len`` raw bits (512 by default) are hashed with SHA-256 and the
-256-bit digests are concatenated.  A trailing partial block is discarded,
-so
+B_LEN = 512 raw bits are hashed with SHA-256 and the D_LEN = 256-bit
+digests are concatenated.  A trailing partial block is discarded, so
 
-    len(conditioned) == floor(len(raw) / b_len) * d_len
+    len(conditioned) == floor(len(raw) / B_LEN) * D_LEN
 
 Bit/byte packing is MSB first throughout: the first harvested bit is the
 most significant bit of the first byte fed to the hash.
@@ -28,18 +27,9 @@ from .characterize import CellSelection, selection_digest
 from .device import ChipModel, DataPattern, Environment, TimingParams, _plan_readout, _Readout, _readout_rows
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    """Conditioning geometry: raw bits in, digest bits out, per block."""
-
-    b_len: int = 512
-    d_len: int = 256
-
-    def __post_init__(self):
-        if self.b_len <= 0 or self.b_len % 8:
-            raise ValueError(f"b_len must be a positive multiple of 8, got {self.b_len}")
-        if self.d_len != 256:
-            raise ValueError(f"d_len must equal the SHA-256 digest width (256), got {self.d_len}")
+# conditioning geometry: raw bits in (whole bytes), SHA-256 digest bits out, per block
+B_LEN = 512
+D_LEN = 256
 
 
 @dataclass
@@ -54,10 +44,10 @@ class Bitstream:
         self.bits = np.asarray(self.bits, dtype=bool)
         if self.kind not in ("raw", "conditioned"):
             raise ValueError(f"kind must be 'raw' or 'conditioned', got {self.kind!r}")
-        if self.kind == "conditioned" and len(self.bits) % 256:
+        if self.kind == "conditioned" and len(self.bits) % D_LEN:
             raise ValueError(
                 f"conditioned streams are whole digests; length {len(self.bits)} "
-                "is not a multiple of 256"
+                f"is not a multiple of {D_LEN}"
             )
 
     def __len__(self) -> int:
@@ -68,15 +58,15 @@ class Bitstream:
         return np.packbits(self.bits).tobytes()
 
 
-def required_rounds(target_bits: int, num_randcell: int, block: BlockParams = BlockParams()) -> int:
+def required_rounds(target_bits: int, num_randcell: int) -> int:
     """Fewest harvest rounds whose conditioned output reaches ``target_bits``."""
     if target_bits < 1:
         raise ValueError(f"target_bits must be >= 1, got {target_bits}")
     if num_randcell < 1:
         raise ValueError(f"need at least one selected cell, got {num_randcell}")
     # integer ceilings: a float quotient is inexact above 2**53 bits
-    blocks_needed = -(-target_bits // block.d_len)
-    raw_needed = blocks_needed * block.b_len
+    blocks_needed = -(-target_bits // D_LEN)
+    raw_needed = blocks_needed * B_LEN
     return -(-raw_needed // num_randcell)
 
 
@@ -128,31 +118,29 @@ def harvest_rounds(plan: HarvestPlan, rounds: int, start_round: int = 0) -> Bits
     return Bitstream(bits=rows.reshape(-1), kind="raw", provenance=prov)
 
 
-def digest_blocks(packed: bytes, block: BlockParams = BlockParams()) -> bytes:
-    """SHA-256 each whole b_len-bit block of MSB-first packed raw bits and
+def digest_blocks(packed: bytes) -> bytes:
+    """SHA-256 each whole B_LEN-bit block of MSB-first packed raw bits and
     concatenate the digests, which are the conditioned bits packed the same
     way.  Trailing bytes short of a whole block are not hashed."""
-    step = block.b_len // 8
+    step = B_LEN // 8
     view = memoryview(packed)
     sha256 = hashlib.sha256
     return b"".join(sha256(view[i : i + step]).digest() for i in range(0, len(view) - step + 1, step))
 
 
-def conditioned_provenance(raw_provenance: dict, raw_bits: int, block: BlockParams = BlockParams()) -> dict:
+def conditioned_provenance(raw_provenance: dict, raw_bits: int) -> dict:
     """Provenance of the stream conditioned from ``raw_bits`` raw bits."""
-    prov = dict(raw_provenance)
-    prov.update({"b_len": block.b_len, "d_len": block.d_len, "raw_bits": raw_bits})
-    return prov
+    return dict(raw_provenance, b_len=B_LEN, d_len=D_LEN, raw_bits=raw_bits)
 
 
-def condition(raw: Bitstream, block: BlockParams = BlockParams()) -> Bitstream:
-    """SHA-256 each full b_len-bit block; drop any trailing partial block."""
+def condition(raw: Bitstream) -> Bitstream:
+    """SHA-256 each full B_LEN-bit block; drop any trailing partial block."""
     if raw.kind != "raw":
         raise ValueError("condition() expects a raw stream")
-    used = raw.bits[: len(raw) // block.b_len * block.b_len]
-    digests = digest_blocks(np.packbits(used).tobytes(), block)  # b_len % 8 == 0, exact
+    used = raw.bits[: len(raw) // B_LEN * B_LEN]
+    digests = digest_blocks(np.packbits(used).tobytes())  # B_LEN % 8 == 0, exact
     bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8)).astype(bool)
-    prov = conditioned_provenance(raw.provenance, len(raw), block)
+    prov = conditioned_provenance(raw.provenance, len(raw))
     return Bitstream(bits=bits, kind="conditioned", provenance=prov)
 
 

@@ -278,39 +278,22 @@ def default_apen_m(n: int) -> int:
     return min(8, max(1, int(math.log2(n)) - 6))
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
-    """Battery-level knobs; template sizes default adaptively from n."""
-
-    alpha: float = ALPHA
-    block_m: int | None = None
-    serial_m: int | None = None
-    apen_m: int | None = None
-
-    def resolve(self, n: int) -> tuple[int, int, int]:
-        return (
-            self.block_m if self.block_m is not None else default_block_m(n),
-            self.serial_m if self.serial_m is not None else default_serial_m(n),
-            self.apen_m if self.apen_m is not None else default_apen_m(n),
-        )
-
-
-def run_all(seq, config: BatteryConfig = BatteryConfig()) -> tuple[TestResult, ...]:
-    """All nine subtest results for one sequence, in SUBTEST_NAMES order."""
+def run_all(seq) -> tuple[TestResult, ...]:
+    """All nine subtest results for one sequence, in SUBTEST_NAMES order, at
+    ALPHA, with the template sizes of the default_*_m rules for its length."""
     bits = _coerce(seq)
-    block_m, serial_m, apen_m = config.resolve(bits.size)
-    a = config.alpha
-    s1, s2 = serial(bits, serial_m, alpha=a)
+    n = bits.size
+    s1, s2 = serial(bits, default_serial_m(n))
     return (
-        frequency_monobit(bits, alpha=a),
-        block_frequency(bits, block_m, alpha=a),
-        runs(bits, alpha=a),
-        longest_run(bits, alpha=a),
-        cumulative_sums(bits, reverse=False, alpha=a),
-        cumulative_sums(bits, reverse=True, alpha=a),
+        frequency_monobit(bits),
+        block_frequency(bits, default_block_m(n)),
+        runs(bits),
+        longest_run(bits),
+        cumulative_sums(bits, reverse=False),
+        cumulative_sums(bits, reverse=True),
         s1,
         s2,
-        approximate_entropy(bits, apen_m, alpha=a),
+        approximate_entropy(bits, default_apen_m(n)),
     )
 
 
@@ -364,7 +347,6 @@ class BatterySummary:
 
     n_sequences: int
     sequence_length: int
-    config: BatteryConfig
     subtests: tuple[SubtestSummary, ...]
 
     @property
@@ -380,7 +362,7 @@ class BatterySummary:
     def report(self) -> str:
         lines = [
             f"battery: {self.n_sequences} sequences x {self.sequence_length} bits, "
-            f"alpha={self.config.alpha:g}",
+            f"alpha={ALPHA:g}",
             f"{'test':<20} {'prop':>7} {'min':>4} {'uniformity':>11}  verdict",
         ]
         for t in self.subtests:
@@ -401,9 +383,7 @@ class BatterySummary:
         return "\n".join(rows) + "\n"
 
 
-def run_battery(
-    seqs: Sequence | Iterable, config: BatteryConfig = BatteryConfig()
-) -> BatterySummary:
+def run_battery(seqs: Sequence | Iterable) -> BatterySummary:
     """Run the nine subtests over every sequence and apply both pass rules."""
     arrays = [_coerce(s) for s in seqs]
     if not arrays:
@@ -411,7 +391,7 @@ def run_battery(
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("all sequences must have the same length")
-    per_seq = [run_all(a, config) for a in arrays]
+    per_seq = [run_all(a) for a in arrays]
     subtests = []
     for idx, name in enumerate(SUBTEST_NAMES):
         p = np.array([results[idx].p_value for results in per_seq])
@@ -421,14 +401,13 @@ def run_battery(
                 name=name,
                 p_values=p,
                 n_passed=passed,
-                min_pass=min_pass_count(len(arrays), config.alpha),
+                min_pass=min_pass_count(len(arrays)),
                 uniformity_p=uniformity_p_value(p),
             )
         )
     return BatterySummary(
         n_sequences=len(arrays),
         sequence_length=n,
-        config=config,
         subtests=tuple(subtests),
     )
 

@@ -9,20 +9,27 @@ measure_pipeline_times, mirroring how they would be measured on hardware.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 import numpy as np
 
 from .characterize import CellSelection
 from .device import ChipModel, Environment, TimingParams
-from .extract import BlockParams, Bitstream, condition, harvest_rounds, plan_harvest
+from .extract import B_LEN, D_LEN, Bitstream, condition, harvest_rounds, plan_harvest
 
 # Per-address write/read and per-block SHA-256 times of the commercial
 # part and controller this model imitates; used when a deterministic
 # estimate is wanted instead of wall-clock measurement.
 REFERENCE_T_RW_NS = 239.76
 REFERENCE_T_HASH_NS = 802.6
+
+# measure_pipeline_times: repetitions discarded, then timed, per step, and
+# the rounds harvested and blocks hashed in one repetition
+WARMUP_REPEATS = 10
+TIMED_REPEATS = 100
+ROUNDS_PER_REP = 16
+BLOCKS_PER_REP = 100
 
 
 @dataclass(frozen=True)
@@ -32,8 +39,8 @@ class ThroughputInputs:
     t_rw_ns: float
     t_hash_ns: float
     bits_per_rand_addr: float
-    b_len: int = 512
-    d_len: int = 256
+    b_len: int = B_LEN
+    d_len: int = D_LEN
 
     def __post_init__(self) -> None:
         for name in ("t_rw_ns", "t_hash_ns", "bits_per_rand_addr"):
@@ -67,62 +74,50 @@ def throughput(inputs: ThroughputInputs) -> ThroughputEstimate:
     return ThroughputEstimate(t_rw_avg_ns=gather_ns, mbit_per_s=rate)
 
 
+def _fastest(step, what: str) -> int:
+    """Fewest ns that one of TIMED_REPEATS calls step(i) took, after
+    WARMUP_REPEATS discarded calls; i counts all calls from 0."""
+    samples = []
+    for i in range(WARMUP_REPEATS + TIMED_REPEATS):
+        start = perf_counter_ns()
+        step(i)
+        elapsed = perf_counter_ns() - start
+        if elapsed <= 0:
+            raise RuntimeError(f"timer resolution too coarse for {what} timing")
+        if i >= WARMUP_REPEATS:
+            samples.append(elapsed)
+    return min(samples)
+
+
 def measure_pipeline_times(
     chip: ChipModel,
     selection: CellSelection,
     timing: TimingParams,
     env: Environment = Environment(),
-    block: BlockParams = BlockParams(),
-    repeats: int = 100,
-    warmup: int = 10,
 ) -> ThroughputInputs:
     """Wall-clock the package's own harvest and conditioning steps.
 
-    Returns per-address and per-block minima over `repeats` measured
-    repetitions, after `warmup` discarded ones: the fastest repetition is the
-    cost of the step itself, the slower ones add preemption and other load.
-    The harvest's per-run set-up is done once, before the repetitions, as a
-    long run pays it once; a harvest repetition is a call over
-    `rounds_per_rep` rounds, so the call's own fixed cost is spread as thin
-    as in a long run.
+    Returns per-address and per-block minima over TIMED_REPEATS
+    repetitions, after WARMUP_REPEATS discarded ones: the fastest repetition
+    is the cost of the step itself, the slower ones add preemption and other
+    load.  The harvest's per-run set-up is done once, before the
+    repetitions, as a long run pays it once; a harvest repetition is a call
+    over ROUNDS_PER_REP rounds, so the call's own fixed cost is spread as
+    thin as in a long run.
     """
-    if repeats < 100:
-        raise ValueError("need at least 100 measured repetitions")
     if selection.empty:
         raise ValueError("cell selection is empty")
 
-    n_addresses = selection.num_rand_addresses
     plan = plan_harvest(chip, selection, timing, env)
-    rounds_per_rep = 16
-    rw_samples = []
-    for i in range(warmup + repeats):
-        start = time.perf_counter_ns()
-        harvest_rounds(plan, rounds_per_rep, start_round=i * rounds_per_rep)
-        elapsed = time.perf_counter_ns() - start
-        if elapsed <= 0:
-            raise RuntimeError("timer resolution too coarse for harvest timing")
-        if i >= warmup:
-            rw_samples.append(elapsed / (rounds_per_rep * n_addresses))
-
-    blocks_per_rep = 100
-    rng = np.random.default_rng(0)
-    raw = Bitstream(rng.random(blocks_per_rep * block.b_len) < 0.5)
-    hash_samples = []
-    for i in range(warmup + repeats):
-        start = time.perf_counter_ns()
-        condition(raw, block)
-        elapsed = time.perf_counter_ns() - start
-        if elapsed <= 0:
-            raise RuntimeError("timer resolution too coarse for hash timing")
-        if i >= warmup:
-            hash_samples.append(elapsed / blocks_per_rep)
-
+    raw = Bitstream(np.random.default_rng(0).random(BLOCKS_PER_REP * B_LEN) < 0.5)
+    t_rw = _fastest(
+        lambda i: harvest_rounds(plan, ROUNDS_PER_REP, start_round=i * ROUNDS_PER_REP), "harvest"
+    )
+    t_hash = _fastest(lambda i: condition(raw), "hash")
     return ThroughputInputs(
-        t_rw_ns=float(np.min(rw_samples)),
-        t_hash_ns=float(np.min(hash_samples)),
+        t_rw_ns=t_rw / (ROUNDS_PER_REP * selection.num_rand_addresses),
+        t_hash_ns=t_hash / BLOCKS_PER_REP,
         bits_per_rand_addr=selection.bits_per_rand_addr,
-        b_len=block.b_len,
-        d_len=block.d_len,
     )
 
 

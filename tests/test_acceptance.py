@@ -29,9 +29,8 @@ from mramtrng.device import (
     default_config,
     measure,
 )
-from mramtrng.extract import BlockParams, Bitstream, condition, harvest_rounds, plan_harvest, required_rounds
+from mramtrng.extract import Bitstream, condition, harvest_rounds, plan_harvest, required_rounds
 from mramtrng.sts import (
-    BatteryConfig,
     approximate_entropy,
     block_frequency,
     cumulative_sums,
@@ -78,7 +77,7 @@ def calibrated():
     t0 = time.perf_counter()
     chip = create_chip(default_config(), seed=SEED)
     matrix = measure(
-        chip, DataPattern.solid(0), TimingParams.reduced(HARVEST_TW_NS), n=N_ROUNDS
+        chip, DataPattern.solid(0), TimingParams(HARVEST_TW_NS), n=N_ROUNDS
     )
     elapsed = time.perf_counter() - t0
     return chip, matrix, elapsed
@@ -94,7 +93,7 @@ def selection(calibrated):
 def conditioned_streams(calibrated, selection):
     chip, _, _ = calibrated
     rounds = required_rounds(STREAMS * STREAM_BITS, selection.num_randcell)
-    raw = harvest_rounds(plan_harvest(chip, selection, TimingParams.reduced(HARVEST_TW_NS)), rounds)
+    raw = harvest_rounds(plan_harvest(chip, selection, TimingParams(HARVEST_TW_NS)), rounds)
     bits = condition(raw).bits
     return [bits[i * STREAM_BITS : (i + 1) * STREAM_BITS] for i in range(STREAMS)]
 
@@ -106,7 +105,7 @@ def test_criterion_1_error_fraction_calibration(calibrated):
     chip, matrix, elapsed = calibrated
     err = {HARVEST_TW_NS: matrix.error_fraction()}
     for tw in (5.0, 10.0, 15.0):
-        m = measure(chip, DataPattern.solid(0), TimingParams.reduced(tw), n=N_ROUNDS)
+        m = measure(chip, DataPattern.solid(0), TimingParams(tw), n=N_ROUNDS)
         err[tw] = m.error_fraction()
     ok = (
         0.2559 <= err[2.5] <= 0.3730
@@ -201,12 +200,11 @@ def test_criterion_5_sha256_and_length_law():
 
     rng = np.random.default_rng(505)
     law_failures = 0
-    block = BlockParams()
     for _ in range(100):
         n_raw = int(rng.integers(0, 5000))
         raw = Bitstream(bits=rng.random(n_raw) < 0.5, kind="raw")
-        expect = (n_raw // block.b_len) * block.d_len
-        if len(condition(raw, block)) != expect:
+        expect = (n_raw // 512) * 256  # 512 raw bits in, one 256-bit digest out
+        if len(condition(raw)) != expect:
             law_failures += 1
     ok = vectors_ok and primitive_ok and law_failures == 0
     _verdict(
@@ -277,7 +275,7 @@ def test_criterion_6a_battery_oracle_equivalence():
 
 def test_criterion_6b_conditioned_streams_pass(conditioned_streams):
     assert all(len(s) == STREAM_BITS for s in conditioned_streams)
-    summary = run_battery(conditioned_streams, BatteryConfig())
+    summary = run_battery(conditioned_streams)
     worst_prop = min(t.n_passed for t in summary.subtests)
     worst_unif = min(t.uniformity_p for t in summary.subtests)
     ok = summary.verdict and worst_prop >= 18 and worst_unif >= 0.0001
@@ -291,7 +289,7 @@ def test_criterion_6b_conditioned_streams_pass(conditioned_streams):
 
 def test_criterion_6c_all_zero_streams_fail():
     zeros = [np.zeros(STREAM_BITS, dtype=bool)] * STREAMS
-    summary = run_battery(zeros, BatteryConfig())
+    summary = run_battery(zeros)
     freq = summary.subtest("Frequency")
     ok = freq.n_passed == 0 and not freq.ok and not summary.verdict
     _verdict(6, ok, f"6c: all-zero streams pass monobit {freq.n_passed}/20 (need 0)")
@@ -337,7 +335,7 @@ def test_criterion_8_temperature_and_field(calibrated, selection):
     cold_matrix = measure(
         chip,
         DataPattern.solid(0),
-        TimingParams.reduced(HARVEST_TW_NS),
+        TimingParams(HARVEST_TW_NS),
         Environment(temperature_c=20.0),
         n=N_ROUNDS,
     )
@@ -347,7 +345,7 @@ def test_criterion_8_temperature_and_field(calibrated, selection):
     low_field = measure(
         chip,
         DataPattern.solid(0),
-        TimingParams.reduced(HARVEST_TW_NS),
+        TimingParams(HARVEST_TW_NS),
         Environment(field_mt=8.0),
         n=N_ROUNDS,
     )

@@ -60,7 +60,7 @@ def _fresh_chip():
 
 def _matrix_path(chip, widths, pattern, env, n):
     """One measure per width, in list order, as the sweep used to run."""
-    return [measure(chip, pattern, TimingParams.reduced(t), env, n=n) for t in widths]
+    return [measure(chip, pattern, TimingParams(t), env, n=n) for t in widths]
 
 
 @pytest.mark.parametrize("pattern, env, n", CASES)
@@ -68,9 +68,9 @@ def test_sweep_matches_matrix_path(pattern, env, n):
     chip, ref_chip = _fresh_chip(), _fresh_chip()
     sweep = sweep_tw(chip, WIDTHS, pattern=PATTERNS[pattern], env=ENVS[env], n=n)
     ref = _matrix_path(ref_chip, WIDTHS, PATTERNS[pattern], ENVS[env], n)
-    assert [p.t_w_ns for p in sweep.points] == list(WIDTHS)
-    assert [p.error_fraction for p in sweep.points] == [m.error_fraction() for m in ref]
-    assert sweep.points[WIDTHS.index(15.0)].error_fraction == 0.0
+    assert [f.t_w_ns for f in sweep.folds] == list(WIDTHS)
+    assert [f.error_fraction() for f in sweep.folds] == [m.error_fraction() for m in ref]
+    assert sweep.folds[WIDTHS.index(15.0)].error_fraction() == 0.0
     assert choose_tw(sweep) == 2.5
     # the chip holds the last round of the last width, as after the last measure
     assert np.array_equal(chip.stored, ref_chip.stored)
@@ -89,7 +89,7 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
     # address with a nonzero flip count, with all 16 of its counts
     args = ["characterize", str(path), "--n", str(n), "--th-l", "1", "--format", "csv", "--out", str(report)]
     assert cli.main(args + flags) == 0
-    m = measure(chip, DataPattern.solid(0), TimingParams.reduced(2.5), e, n=n)
+    m = measure(chip, DataPattern.solid(0), TimingParams(2.5), e, n=n)
     counts, tax = count_flips(m), classify_cells(m)
     got = np.zeros(chip.num_cells, dtype=np.int64)
     for line in report.read_text().splitlines()[1:]:
@@ -112,7 +112,7 @@ def test_fold_matches_matrix_path(monkeypatch, pattern, env, n, block):
     if block is not None:
         monkeypatch.setattr(device, "_FOLD_BLOCK", block)
     chip, ref_chip = _fresh_chip(), _fresh_chip()
-    timings = [TimingParams.reduced(t) for t in WIDTHS]
+    timings = [TimingParams(t) for t in WIDTHS]
     folds = fold_campaigns(chip, PATTERNS[pattern], timings, ENVS[env], n=n)
     ref = _matrix_path(ref_chip, WIDTHS, PATTERNS[pattern], ENVS[env], n)
     for fold, m in zip(folds, ref, strict=True):
@@ -145,7 +145,7 @@ def test_fold_equals_measure_rows_on_random_chips(seed, addresses, pattern, temp
     start %= n
     chip, ref_chip = create_chip(small_config(addresses), seed), create_chip(small_config(addresses), seed)
     env, pattern = Environment(temperature_c=temperature, field_mt=field), PATTERNS[pattern]
-    timings = [TimingParams.reduced(t) for t in widths]
+    timings = [TimingParams(t) for t in widths]
     folds = fold_campaigns(chip, pattern, timings, env, n=n)
     for fold, t in zip(folds, timings, strict=True):
         parts = [(0, start), (start, n - start)] if start else [(0, n)]
@@ -159,8 +159,8 @@ def test_fold_equals_measure_rows_on_random_chips(seed, addresses, pattern, temp
 
 def test_fold_single_round():
     chip = _fresh_chip()
-    (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(2.5)], n=1)
-    m = measure(_fresh_chip(), DataPattern.solid(0), TimingParams.reduced(2.5), n=1)
+    (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams(2.5)], n=1)
+    m = measure(_fresh_chip(), DataPattern.solid(0), TimingParams(2.5), n=1)
     assert fold.error_fraction() == m.error_fraction()
     assert np.array_equal(chip.stored, m.bits[0])
     with pytest.raises(ValueError, match="N-1"):
@@ -172,7 +172,7 @@ def test_fold_single_round():
 def test_fold_rejects_bad_arguments():
     chip = _fresh_chip()
     with pytest.raises(ValueError, match="at least one measurement"):
-        fold_campaigns(chip, DataPattern.solid(0), [TimingParams.reduced(2.5)], n=0)
+        fold_campaigns(chip, DataPattern.solid(0), [TimingParams(2.5)], n=0)
     with pytest.raises(ValueError, match="pulse width"):
         fold_campaigns(chip, DataPattern.solid(0), [], n=5)
 
@@ -190,7 +190,7 @@ def _split_fold(monkeypatch, workers):
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
     monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(workers, blocks))
     chip = _fresh_chip()
-    timings = [TimingParams.reduced(t) for t in WIDTHS]
+    timings = [TimingParams(t) for t in WIDTHS]
     return fold_campaigns(chip, PATTERNS["random"], timings, ENVS["ref"], n=50), chip
 
 
@@ -251,7 +251,7 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
     monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(3, blocks))
     monkeypatch.setattr(device, "_write_errors", failing_in_workers)
-    timings = [TimingParams.reduced(t) for t in WIDTHS]
+    timings = [TimingParams(t) for t in WIDTHS]
     with pytest.raises(ChildProcessError, match="short data"):
         fold_campaigns(chip, PATTERNS["random"], timings, n=50)
     assert np.array_equal(chip.stored, before)

@@ -138,7 +138,7 @@ def test_classify_cells():
 
 
 def test_selected_cells_are_noise_prone(fresh_small_chip):
-    m = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=20)
+    m = measure(fresh_small_chip, DataPattern.solid(0), TimingParams(2.5), n=20)
     sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     tax = classify_cells(m)
     assert not sel.empty
@@ -147,19 +147,23 @@ def test_selected_cells_are_noise_prone(fresh_small_chip):
 
 def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     sweep = sweep_tw(fresh_small_chip, (15.0, 10.0, 5.0, 2.5), n=8)
-    by_tw = {p.t_w_ns: p.error_fraction for p in sweep.points}
+    by_tw = {f.t_w_ns: f.error_fraction() for f in sweep.folds}
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
-    again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=8)
+    again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams(2.5), n=8)
     fold = sweep.folds[-1]
     assert (fold.t_w_ns, fold.n_measurements) == (2.5, 8)
     assert np.array_equal(fold.flip_counts, count_flips(again))
 
 
 def test_choose_tw_tie_prefers_wider_pulse():
-    from mramtrng.characterize import SweepPoint, TimingSweepResult
+    from mramtrng.characterize import TimingSweepResult
+    from mramtrng.device import CampaignFold
 
-    res = TimingSweepResult(points=(SweepPoint(2.5, 0.3), SweepPoint(5.0, 0.3), SweepPoint(10.0, 0.1)))
+    def fold(t_w_ns, errors):  # 10 rounds over 10 cells
+        return CampaignFold(t_w_ns, 10, errors, np.zeros(10, np.uint8), np.zeros(10, bool))
+
+    res = TimingSweepResult((fold(2.5, 30), fold(5.0, 30), fold(10.0, 10)))
     assert choose_tw(res) == 5.0
 
 
@@ -179,7 +183,7 @@ def test_selection_roundtrip(tmp_path):
     assert 0 < sel.num_randcell < 4096
     p = tmp_path / "sel.mrsl"
     save_selection(sel, p)
-    again = load_selection(p)
+    again = load_selection(p, 4096 // 16)
     assert np.array_equal(again.mask, sel.mask)
     assert (again.th_l, again.th_u) == (sel.th_l, sel.th_u)
     assert again.num_addresses == sel.num_addresses
@@ -190,7 +194,7 @@ def test_selection_bad_magic(tmp_path):
     p = tmp_path / "bad.mrsl"
     p.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
-        load_selection(p)
+        load_selection(p, 256)
 
 
 def test_selection_csv_report(tmp_path):
@@ -198,7 +202,7 @@ def test_selection_csv_report(tmp_path):
     counts[0], counts[1], counts[17] = 20, 16, 30
     sel = select_cells(counts, 50, SelectionThresholds(16))
     p = tmp_path / "sel.csv"
-    export_selection_csv(sel, p)
+    export_selection_csv(sel, counts, p)
     lines = p.read_text().strip().splitlines()
     assert lines[0].startswith("address,mask_hex,flips_bit0")
     assert lines[1].startswith("0,c000,20,16,")

@@ -222,6 +222,47 @@ def test_rounds_beyond_rated_maximum_exit_2(config_file, chip_file, tmp_path, ca
     assert reached == [cli.MAX_ROUNDS]
 
 
+@pytest.mark.parametrize("command", ["characterize", "pipeline"])
+@pytest.mark.parametrize("flag", ["--th-l", "--th-u"])
+def test_thresholds_beyond_rounds_exit_2(config_file, chip_file, tmp_path, capsys, monkeypatch, command, flag):
+    """A flip-count window beyond N-1 exits 2 with one line before any fold
+    or file write; a window that ends at N-1 reaches the fold (stubbed)."""
+    reached = []
+
+    def stub_fold(chip, pattern, timings, env=None, n=50):
+        reached.append(n)
+        raise _FoldReached
+
+    monkeypatch.setattr(characterize, "fold_campaigns", stub_fold)
+    monkeypatch.setattr(cli, "fold_campaigns", stub_fold)
+    out = tmp_path / "out"
+    args = {
+        "characterize": ["characterize", str(chip_file), "--out", str(out)],
+        "pipeline": ["pipeline", "--config", str(config_file), "--seed", "7", "--out", str(out)],
+    }[command]
+    assert cli.main(args + [flag, "80"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "th_l <= th_u <= N-1" in err[0] and "N=50" in err[0]
+    assert not reached and not out.exists()
+    with pytest.raises(_FoldReached):
+        cli.main(args + [flag, "49"])
+    assert reached == [50]
+
+
+@pytest.mark.parametrize("command", ["characterize", "generate"])
+@pytest.mark.parametrize("tw", ["36", "0", "nan"])
+def test_pulse_width_outside_write_cycle_exits_2(chip_file, selection_file, tmp_path, capsys, command, tw):
+    out = tmp_path / "out"
+    args = {
+        "characterize": ["characterize", str(chip_file)],
+        "generate": ["generate", str(chip_file), str(selection_file), "--bits", "256"],
+    }[command]
+    assert cli.main(args + ["--tw", tw, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "write pulse" in err[0] and "35" in err[0]
+    assert not out.exists()
+
+
 def test_characterize_csv_export(chip_file, tmp_path):
     out = tmp_path / "sel.csv"
     assert cli.main(["characterize", str(chip_file), "--format", "csv", "--out", str(out)]) == 0
@@ -273,6 +314,21 @@ def test_generate_malformed_selection_exits_2(chip_file, selection_file, tmp_pat
         assert rc == cli.EXIT_USAGE, message
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+
+def test_generate_selection_for_huge_array_exits_2(chip_file, selection_file, tmp_path, capsys):
+    """A header naming 0xFFFFFFF0 addresses is rejected by its count, before
+    a mask for that many addresses (64 GiB) is allocated."""
+    data = bytearray(selection_file.read_bytes())
+    struct.pack_into("<I", data, 6, 0xFFFFFFF0)  # num_addresses
+    bad = tmp_path / "huge.mrsl"
+    bad.write_bytes(bytes(data))
+    out = tmp_path / "gen"
+    rc = cli.main(["generate", str(chip_file), str(bad), "--bits", "256", "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{0xFFFFFFF0} addresses" in err and "has 2048" in err
+    assert not out.exists()
 
 
 def test_generate_bits_beyond_u64_header_exits_2(chip_file, selection_file, tmp_path, capsys):

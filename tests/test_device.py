@@ -7,6 +7,7 @@ from mramtrng.device import (
     ChipConfig,
     DataPattern,
     Environment,
+    T_WC_NS,
     MarginalAddressPopulation,
     TauComponent,
     TimingParams,
@@ -25,15 +26,12 @@ from conftest import small_config
 
 
 def test_timing_defaults_are_nominal():
-    t = TimingParams.nominal()
-    assert (t.t_wc_ns, t.t_w_ns, t.t_wr_ns, t.t_dv_ns) == (35.0, 15.0, 12.0, 10.0)
+    assert TimingParams().t_w_ns == 15.0
 
 
 def test_timing_reduced_keeps_pulse_inside_cycle():
-    t = TimingParams.reduced(2.5)
-    assert t.t_w_ns == 2.5
-    assert t.t_dv_ns <= t.t_w_ns
-    assert t.t_w_ns <= t.t_wc_ns
+    assert TimingParams(2.5).t_w_ns == 2.5
+    assert TimingParams(T_WC_NS).t_w_ns == T_WC_NS  # a pulse as long as the cycle
 
 
 @pytest.mark.parametrize(
@@ -42,12 +40,12 @@ def test_timing_reduced_keeps_pulse_inside_cycle():
         dict(t_w_ns=-1.0),
         dict(t_w_ns=0.0),
         dict(t_w_ns=40.0),  # pulse longer than cycle
-        dict(t_dv_ns=20.0),  # data-valid longer than pulse
-        dict(t_wc_ns=float("nan")),
+        dict(t_w_ns=float("inf")),
+        dict(t_w_ns=float("nan")),
     ],
 )
 def test_timing_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="write pulse"):
         TimingParams(**kwargs)
 
 
@@ -199,7 +197,7 @@ def test_marginal_bias_is_word_correlated_and_balanced():
 def test_nominal_write_stores_pattern(fresh_small_chip):
     chip = fresh_small_chip
     pattern = DataPattern.random(seed=9)
-    measure(chip, pattern, TimingParams.nominal(), n=1)
+    measure(chip, pattern, TimingParams(), n=1)
     errors = np.count_nonzero(chip.stored != pattern.bits(chip.num_addresses))
     assert errors / chip.num_cells < 1e-3
 
@@ -208,14 +206,14 @@ def test_no_toggle_means_no_error(fresh_small_chip):
     # pre-read semantics: writing the stored value issues no pulse at all,
     # so even a 2.5 ns campaign of all-ones is error-free
     chip = fresh_small_chip
-    m = measure(chip, DataPattern.solid(0xFFFF), TimingParams.reduced(2.5), n=3)
+    m = measure(chip, DataPattern.solid(0xFFFF), TimingParams(2.5), n=3)
     assert m.bits.all() and chip.stored.all()
 
 
 def test_pattern_exposure_ordering(fresh_small_chip):
     # solid 0s toggles every cell, checkerboard half, solid 1s none
     chip = fresh_small_chip
-    timing = TimingParams.reduced(2.5)
+    timing = TimingParams(2.5)
 
     def errors(pattern):
         m = measure(chip, pattern, timing, n=3)
@@ -234,13 +232,13 @@ def test_failure_probability_monotone_in_pulse_width(small_chip):
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = sorted(rng.uniform(0.5, 20.0, size=2))
-        pa = failure_probability(small_chip, TimingParams.reduced(a), Environment())
-        pb = failure_probability(small_chip, TimingParams.reduced(b), Environment())
+        pa = failure_probability(small_chip, TimingParams(a), Environment())
+        pb = failure_probability(small_chip, TimingParams(b), Environment())
         assert np.all(pb <= pa + 1e-15)
 
 
 def test_failure_probability_monotone_in_temperature(small_chip):
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     p_cold = failure_probability(small_chip, t, Environment(temperature_c=20.0))
     p_ref = failure_probability(small_chip, t, Environment(temperature_c=26.0))
     p_hot = failure_probability(small_chip, t, Environment(temperature_c=65.0))
@@ -250,7 +248,7 @@ def test_failure_probability_monotone_in_temperature(small_chip):
 
 
 def test_subthreshold_field_is_exactly_inert(small_chip):
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     p0 = failure_probability(small_chip, t, Environment(field_mt=0.0))
     for field in (0.5, 8.0, 10.0):
         for axis in ("+x", "-y", "+z"):
@@ -262,7 +260,7 @@ def test_subthreshold_field_is_exactly_inert(small_chip):
 
 def test_subthreshold_field_measurement_bit_identical(fresh_small_chip):
     chip = fresh_small_chip
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     m0 = measure(chip, DataPattern.solid(0x0000), t, Environment(field_mt=0.0), n=5)
     m8 = measure(chip, DataPattern.solid(0x0000), t, Environment(field_mt=8.0), n=5)
     assert np.array_equal(m0.bits, m8.bits)
@@ -273,7 +271,7 @@ def test_subthreshold_field_measurement_bit_identical(fresh_small_chip):
 
 def test_measure_shape_and_determinism(fresh_small_chip):
     chip = fresh_small_chip
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     m1 = measure(chip, DataPattern.solid(0x0000), t, n=8)
     m2 = measure(chip, DataPattern.solid(0x0000), t, n=8)
     assert m1.bits.shape == (8, chip.num_cells)
@@ -284,7 +282,7 @@ def test_measure_shape_and_determinism(fresh_small_chip):
 
 def test_measure_subset_matches_full_columns(fresh_small_chip):
     chip = fresh_small_chip
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     full = measure(chip, DataPattern.solid(0x0000), t, n=6)
     idx = np.random.default_rng(1).choice(chip.num_cells, size=700, replace=False)
     sub = measure(chip, DataPattern.solid(0x0000), t, n=6, cell_indices=idx)
@@ -293,7 +291,7 @@ def test_measure_subset_matches_full_columns(fresh_small_chip):
 
 def test_measure_round_offset_continues_the_campaign(fresh_small_chip):
     chip = fresh_small_chip
-    t = TimingParams.reduced(2.5)
+    t = TimingParams(2.5)
     long = measure(chip, DataPattern.solid(0x0000), t, n=10)
     tail = measure(chip, DataPattern.solid(0x0000), t, n=4, start_round=6)
     assert np.array_equal(tail.bits, long.bits[6:])
@@ -301,13 +299,13 @@ def test_measure_round_offset_continues_the_campaign(fresh_small_chip):
 
 def test_measure_rejects_zero_rounds(fresh_small_chip):
     with pytest.raises(ValueError):
-        measure(fresh_small_chip, DataPattern.solid(0), TimingParams.nominal(), n=0)
+        measure(fresh_small_chip, DataPattern.solid(0), TimingParams(), n=0)
 
 
 def test_reduced_write_error_band(fresh_small_chip):
     # loose on the unit-test chip; the tight window is checked on the
     # shipped 1 Mb recipe in the acceptance suite
-    m = measure(fresh_small_chip, DataPattern.solid(0x0000), TimingParams.reduced(2.5), n=10)
+    m = measure(fresh_small_chip, DataPattern.solid(0x0000), TimingParams(2.5), n=10)
     assert 0.1 < m.error_fraction() < 0.6
     assert m.error_fraction() == float(np.mean(m.bits != m.written[None, :]))
 
@@ -317,7 +315,7 @@ def test_reduced_write_error_band(fresh_small_chip):
 
 def test_chip_file_roundtrip(tmp_path, fresh_small_chip):
     chip = fresh_small_chip
-    measure(chip, DataPattern.random(seed=1), TimingParams.reduced(5.0), n=1)
+    measure(chip, DataPattern.random(seed=1), TimingParams(5.0), n=1)
     p = tmp_path / "chip.mrtg"
     save_chip(chip, p)
     again = load_chip(p)
@@ -329,8 +327,8 @@ def test_chip_file_roundtrip(tmp_path, fresh_small_chip):
         assert np.array_equal(getattr(again.cells, name), getattr(chip.cells, name))
     assert again.env_coeffs == chip.env_coeffs
     # reloaded chip replays measurements identically
-    m1 = measure(chip, DataPattern.solid(0), TimingParams.reduced(2.5), n=3)
-    m2 = measure(again, DataPattern.solid(0), TimingParams.reduced(2.5), n=3)
+    m1 = measure(chip, DataPattern.solid(0), TimingParams(2.5), n=3)
+    m2 = measure(again, DataPattern.solid(0), TimingParams(2.5), n=3)
     assert np.array_equal(m1.bits, m2.bits)
 
 

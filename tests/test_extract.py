@@ -10,8 +10,9 @@ from conftest import first_cells
 from mramtrng import device
 from mramtrng.device import DataPattern, Environment, TimingParams, measure
 from mramtrng.extract import (
+    B_LEN,
+    D_LEN,
     Bitstream,
-    BlockParams,
     condition,
     harvest_rounds,
     load_bitstream,
@@ -111,30 +112,19 @@ def test_conditioned_length_invariant():
     Bitstream(np.zeros(512, dtype=bool), kind="conditioned")
 
 
-def test_block_params_validation():
-    BlockParams()
-    with pytest.raises(ValueError):
-        BlockParams(b_len=100)
-    with pytest.raises(ValueError):
-        BlockParams(b_len=0)
-    with pytest.raises(ValueError):
-        BlockParams(d_len=128)
-
-
 def test_required_rounds_reference_case():
     assert required_rounds(1024, 128) == 16
 
 
 def test_required_rounds_is_minimal():
     rng = np.random.default_rng(7)
-    block = BlockParams()
     for _ in range(300):
         target = int(rng.integers(1, 20_000))
         nrc = int(rng.integers(1, 4000))
-        r = required_rounds(target, nrc, block)
-        assert (r * nrc // block.b_len) * block.d_len >= target
+        r = required_rounds(target, nrc)
+        assert (r * nrc // B_LEN) * D_LEN >= target
         if r > 1:
-            assert ((r - 1) * nrc // block.b_len) * block.d_len < target
+            assert ((r - 1) * nrc // B_LEN) * D_LEN < target
 
 
 def test_required_rounds_is_exact_beyond_float_precision():
@@ -186,7 +176,7 @@ def _case(sel, name):
         sel = first_cells(sel, keep)
     if rounds is None:
         rounds = 2 * (_BATCH // sel.num_randcell) + 5
-    return sel, rounds, start, TimingParams.reduced(tw), env, pattern
+    return sel, rounds, start, TimingParams(tw), env, pattern
 
 
 @pytest.mark.parametrize("name", HARVEST_CASES)
@@ -230,7 +220,7 @@ def test_harvest_subset_equals_full_array_columns(chip_and_selection, name):
 
 def test_harvest_rounds_validation(chip_and_selection):
     chip, sel = chip_and_selection
-    plan = plan_harvest(_chip_copy(chip), sel, TimingParams.reduced(2.5))
+    plan = plan_harvest(_chip_copy(chip), sel, TimingParams(2.5))
     with pytest.raises(ValueError, match="rounds"):
         harvest_rounds(plan, 0)
     with pytest.raises(ValueError, match="start_round"):
@@ -239,7 +229,7 @@ def test_harvest_rounds_validation(chip_and_selection):
 
 def test_harvest_provenance_and_determinism(chip_and_selection):
     chip, sel = chip_and_selection
-    timing = TimingParams.reduced(2.5)
+    timing = TimingParams(2.5)
     a = harvest_rounds(plan_harvest(chip, sel, timing), 3)
     b = harvest_rounds(plan_harvest(chip, sel, timing), 3)
     assert np.array_equal(a.bits, b.bits)
@@ -253,7 +243,7 @@ def test_harvest_rejects_empty_selection(chip_and_selection):
     chip, sel = chip_and_selection
     empty = dataclasses.replace(sel, mask=np.zeros_like(sel.mask))
     with pytest.raises(ValueError, match="empty"):
-        plan_harvest(chip, empty, TimingParams.reduced(2.5))
+        plan_harvest(chip, empty, TimingParams(2.5))
 
 
 # --- stream files ----------------------------------------------------------

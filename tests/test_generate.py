@@ -11,7 +11,6 @@ from conftest import first_cells
 from mramtrng import cli
 from mramtrng.device import Environment, TimingParams
 from mramtrng.extract import (
-    BlockParams,
     condition,
     harvest_rounds,
     load_bitstream,
@@ -27,7 +26,7 @@ FILES = ("raw.bits", "conditioned.bits", "provenance.json")
 def _generate(tmp_path, name, chip, sel, bits, chunk_rounds=None):
     out = tmp_path / name
     out.mkdir()
-    cli._generate_into(out, chip, sel, 2.5, bits, Environment(), chunk_rounds=chunk_rounds)
+    cli._generate_into(out, chip, sel, TimingParams(2.5), bits, Environment(), chunk_rounds=chunk_rounds)
     return {f: (out / f).read_bytes() for f in FILES}
 
 
@@ -44,8 +43,8 @@ def test_chunked_output_equals_one_shot(small_chip, small_selection, tmp_path, c
     for files in runs.values():
         assert files == runs[rounds]
 
-    raw = harvest_rounds(plan_harvest(small_chip, sel, TimingParams.reduced(2.5), Environment()), rounds)
-    conditioned = condition(raw, BlockParams())
+    raw = harvest_rounds(plan_harvest(small_chip, sel, TimingParams(2.5), Environment()), rounds)
+    conditioned = condition(raw)
     save_bitstream(raw, tmp_path / "raw.bits")
     save_bitstream(conditioned, tmp_path / "conditioned.bits")
     assert runs[1]["raw.bits"] == (tmp_path / "raw.bits").read_bytes()
@@ -63,7 +62,7 @@ def _peak_bytes(tmp_path, name, chip, sel, bits, chunk_rounds):
     out.mkdir()
     tracemalloc.start()
     try:
-        cli._generate_into(out, chip, sel, 2.5, bits, Environment(), chunk_rounds=chunk_rounds)
+        cli._generate_into(out, chip, sel, TimingParams(2.5), bits, Environment(), chunk_rounds=chunk_rounds)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

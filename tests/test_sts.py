@@ -11,7 +11,6 @@ from mramtrng.sts import (
     _fold_counts,
     _longest_run_per_block,
     _template_counts,
-    BatteryConfig,
     BitSequence,
     SUBTEST_NAMES,
     approximate_entropy,
@@ -400,17 +399,19 @@ def test_battery_rerun_identical():
     assert a.to_csv() == b.to_csv()
 
 
-def test_battery_config_overrides():
+def test_battery_sizes_templates_from_length():
     rng = np.random.default_rng(64)
     bits = rng.random(1000) < 0.5
-    summary = run_battery([bits], BatteryConfig(block_m=100, serial_m=4, apen_m=3))
-    direct = block_frequency(bits, 100)
-    assert summary.subtest("BlockFrequency").p_values[0] == direct.p_value
-    assert summary.subtest("Serial1").p_values[0] == serial(bits, 4)[0].p_value
+    summary = run_battery([bits])
+    m_block, m_serial, m_apen = default_block_m(1000), default_serial_m(1000), default_apen_m(1000)
+    assert (m_block, m_serial, m_apen) == (20, 6, 3)
+    assert summary.subtest("BlockFrequency").p_values[0] == block_frequency(bits, m_block).p_value
+    assert summary.subtest("Serial2").p_values[0] == serial(bits, m_serial)[1].p_value
     assert (
         summary.subtest("ApproximateEntropy").p_values[0]
-        == approximate_entropy(bits, 3).p_value
+        == approximate_entropy(bits, m_apen).p_value
     )
+    assert "alpha=0.01" in summary.report()
 
 
 # --- sequence type and interchange files -----------------------------------

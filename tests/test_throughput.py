@@ -101,7 +101,7 @@ def test_input_validation():
 @pytest.fixture(scope="module")
 def timed_setup():
     chip = create_chip(small_config(), seed=7)
-    timing = TimingParams.reduced(2.5)
+    timing = TimingParams(2.5)
     m = measure(chip, DataPattern.solid(0), timing, n=20)
     sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     assert not sel.empty
@@ -128,21 +128,33 @@ def test_measure_pipeline_times_sets_up_harvest_once(timed_setup, monkeypatch):
         return plan_harvest(*args, **kwargs)
 
     monkeypatch.setattr(throughput_module, "plan_harvest", counted)
-    measure_pipeline_times(chip, sel, timing, repeats=100, warmup=10)
+    measure_pipeline_times(chip, sel, timing)
     assert len(calls) == 1  # not once per each of the 110 timed harvests
 
 
-def test_measured_hash_time_is_stable(timed_setup):
+def test_measured_times_are_minima_after_warmup(timed_setup, monkeypatch):
+    """With a scripted clock, t_rw_ns and t_hash_ns are the fastest timed
+    repetitions per address and per block; the faster warm-up ones do not count."""
     chip, sel, timing = timed_setup
-    a = measure_pipeline_times(chip, sel, timing)
-    b = measure_pipeline_times(chip, sel, timing)
-    assert abs(a.t_hash_ns - b.t_hash_ns) / max(a.t_hash_ns, b.t_hash_ns) < 0.20
+    tm = throughput_module
+    rng = np.random.default_rng(11)
+    timed = {step: rng.integers(1_000, 1_000_000, size=tm.TIMED_REPEATS) for step in ("rw", "hash")}
+    elapsed = [1] * tm.WARMUP_REPEATS + list(timed["rw"]) + [1] * tm.WARMUP_REPEATS + list(timed["hash"])
+    ticks, now = [], 5_000
+    for e in elapsed:  # a start and an end reading per repetition
+        ticks += [now, now + int(e)]
+        now += int(e) + 3
+    clock = iter(ticks)
+    monkeypatch.setattr(tm, "perf_counter_ns", lambda: next(clock))
+    inputs = measure_pipeline_times(chip, sel, timing)
+    assert next(clock, None) is None  # every repetition read the clock twice
+    per_address = tm.ROUNDS_PER_REP * sel.num_rand_addresses
+    assert inputs.t_rw_ns == timed["rw"].min() / per_address
+    assert inputs.t_hash_ns == timed["hash"].min() / tm.BLOCKS_PER_REP
 
 
 def test_measure_pipeline_times_validation(timed_setup):
     chip, sel, timing = timed_setup
-    with pytest.raises(ValueError):
-        measure_pipeline_times(chip, sel, timing, repeats=10)
     empty = dataclasses.replace(sel, mask=np.zeros_like(sel.mask))
     with pytest.raises(ValueError):
         measure_pipeline_times(chip, empty, timing)
