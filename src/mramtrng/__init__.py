@@ -12,7 +12,6 @@ from .device import (
     CampaignFold,
     ChipConfig,
     ChipModel,
-    DataPattern,
     Environment,
     MeasurementMatrix,
     TimingParams,
@@ -28,7 +27,6 @@ __all__ = [
     "CampaignFold",
     "ChipConfig",
     "ChipModel",
-    "DataPattern",
     "Environment",
     "MeasurementMatrix",
     "TimingParams",

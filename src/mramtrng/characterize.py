@@ -1,8 +1,10 @@
 """Find the cells whose reduced-timing failures are random, not stuck.
 
 A campaign of N repeated reset -> reduced write -> read cycles gives each
-cell a column of N readouts.  The flip count of a cell is the number of
-value changes between consecutive readouts:
+cell a column of N readouts.  Every campaign resets the array to all ones
+and writes 0 to every cell, so a readout of 1 is a failed write.  The
+flip count of a cell is the number of value changes between consecutive
+readouts:
 
     flips[c] = sum_i XOR(bits[i][c], bits[i+1][c]),   i = 0 .. N-2
 
@@ -11,10 +13,10 @@ A cell whose failures are temporally random flips about half the time
 or near zero.  Selection keeps cells with th_l <= flips <= th_u; the
 lower threshold is the quality knob and is chosen per chip.
 
-Cells also get a coarse taxonomy: persistent_correct (every readout
-equals the written bit), persistent_error (every readout equals the same
-wrong bit) and noise_prone (anything that varied).  On real parts the two
-persistent classes together are the large invariant majority.
+Cells also get a coarse taxonomy: persistent_correct (every readout is
+the written 0), persistent_error (every readout is 1) and noise_prone
+(anything that varied).  On real parts the two persistent classes
+together are the large invariant majority.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from .device import (
     CampaignFold,
     ChipModel,
-    DataPattern,
     Environment,
     MeasurementMatrix,
     TimingParams,
@@ -198,7 +199,7 @@ def _taxonomy(constant: np.ndarray, correct: np.ndarray, n: int) -> CellTaxonomy
 
 def classify_cells(matrix: MeasurementMatrix) -> CellTaxonomy:
     constant = np.all(matrix.bits == matrix.bits[0][None, :], axis=0)
-    return _taxonomy(constant, matrix.bits[0] == matrix.written, matrix.n_measurements)
+    return _taxonomy(constant, ~matrix.bits[0], matrix.n_measurements)
 
 
 def classify_fold(fold: CampaignFold) -> CellTaxonomy:
@@ -227,7 +228,6 @@ class TimingSweepResult:
 def sweep_tw(
     chip: ChipModel,
     tw_list=DEFAULT_SWEEP_TW_NS,
-    pattern: DataPattern | None = None,
     env: Environment | None = None,
     n: int = 50,
 ) -> TimingSweepResult:
@@ -236,8 +236,7 @@ def sweep_tw(
     tw_list = tuple(tw_list)
     if not tw_list:
         raise ValueError("sweep needs at least one pulse width")
-    pattern = pattern or DataPattern.solid(0x0000)
-    folds = fold_campaigns(chip, pattern, [TimingParams(float(t)) for t in tw_list], env, n=n)
+    folds = fold_campaigns(chip, [TimingParams(float(t)) for t in tw_list], env, n=n)
     return TimingSweepResult(tuple(folds))
 
 

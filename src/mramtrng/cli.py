@@ -41,7 +41,6 @@ from .device import (
     CampaignFold,
     ChipConfig,
     ChipModel,
-    DataPattern,
     Environment,
     TimingParams,
     create_chip,
@@ -230,11 +229,11 @@ def _fold_and_select(
     thresholds: SelectionThresholds,
     sweep: TimingSweepResult | None = None,
 ) -> tuple[CampaignFold, CellSelection]:
-    """The solid-0 campaign at ``timing``, folded, and the cells it selects;
+    """The campaign at ``timing``, folded, and the cells it selects;
     the fold of ``sweep`` is reused when the sweep visited its width."""
     fold = next((f for f in sweep.folds if f.t_w_ns == timing.t_w_ns), None) if sweep else None
     if fold is None:
-        (fold,) = fold_campaigns(chip, DataPattern.solid(0), [timing], env, n=n)
+        (fold,) = fold_campaigns(chip, [timing], env, n=n)
     return fold, select_cells(fold.flip_counts, n, thresholds)
 
 

@@ -1,17 +1,18 @@
 """Behavioural model of a toggle-MRAM array under reduced write-pulse timing.
 
 A chip is an array of 16-bit words.  A write is toggle-based with a
-pre-read: for each target bit the controller first reads the stored bit
-and issues a toggle pulse only where stored != target.  At the nominal
-pulse width every toggle completes; as the pulse narrows below the
-per-cell switching delay, toggles begin to fail stochastically.  The
-per-write toggle success probability is
+pre-read: the controller issues a toggle pulse only where the stored bit
+differs from the written one.  Every campaign resets the array to all
+ones and then writes 0 to every cell, so every cell toggles in every
+round.  At the nominal pulse width every toggle completes; as the pulse
+narrows below the per-cell switching delay, toggles begin to fail
+stochastically.  The per-write toggle success probability is
 
     p_ok = logistic(steepness * (t_w - tau_eff))
     tau_eff = tau + temp_tau_slope * (T_REF - T)
 
 so a shorter pulse or a colder die raises the failure rate.  A failed
-toggle usually leaves the cell in its previous state; with per-cell
+toggle usually leaves the cell at the reset 1, a read error; with per-cell
 probability ``metastable_frac`` the cell instead resolves to a fresh
 Bernoulli(``metastable_bias``) value, which is what makes a minority of
 cells noisy rather than merely stuck.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import CounterRng, draw_rows, draw_threshold, draws, hash_words16
+from .rng import CounterRng, draw_rows, draw_threshold, draws
 
 WORD_WIDTH = 16
 
@@ -57,13 +58,13 @@ FIELD_AXES = ("+x", "-x", "+y", "-y", "+z", "-z")
 
 _CHIP_MAGIC = b"MRTG"
 _CHIP_VERSION = 1
+# the chip file holds the id length in a u16 and the address count in a u32
+_MAX_CHIP_ID_BYTES = 0xFFFF
+_MAX_ADDRESSES = 0xFFFFFFFF
 
 _STREAM_TOGGLE = 0
 _STREAM_META = 1
 _STREAM_VALUE = 2
-
-# pattern stripes alternate in blocks of this many addresses
-STRIPE_LEN = 16
 
 # cells per block of fold_campaigns: a block's keys, thresholds and per-round
 # draws stay in the CPU caches through all of the block's rounds instead of
@@ -110,72 +111,6 @@ class Environment:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class DataPattern:
-    """Deterministic test data expanded per address.
-
-    kind is one of solid / checkerboard / striped / random.  checkerboard
-    alternates word_a/word_b every address, striped every STRIPE_LEN
-    addresses, random derives each word from a hash of (seed, address).
-    """
-
-    kind: str = "solid"
-    word_a: int = 0x0000
-    word_b: int = 0xFFFF
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("solid", "checkerboard", "striped", "random"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        for name in ("word_a", "word_b"):
-            w = getattr(self, name)
-            if not 0 <= w <= 0xFFFF:
-                raise ValueError(f"{name} must be a 16-bit word, got {w:#x}")
-
-    @classmethod
-    def solid(cls, word: int = 0x0000) -> "DataPattern":
-        return cls(kind="solid", word_a=word)
-
-    @classmethod
-    def checkerboard(cls, word_a: int = 0xAAAA, word_b: int = 0x5555) -> "DataPattern":
-        return cls(kind="checkerboard", word_a=word_a, word_b=word_b)
-
-    @classmethod
-    def striped(cls, word_a: int = 0xFF00, word_b: int = 0x00FF) -> "DataPattern":
-        return cls(kind="striped", word_a=word_a, word_b=word_b)
-
-    @classmethod
-    def random(cls, seed: int = 0) -> "DataPattern":
-        return cls(kind="random", seed=seed)
-
-    def words(self, addresses: np.ndarray) -> np.ndarray:
-        """16-bit target word for each address in ``addresses``."""
-        addr = np.asarray(addresses, dtype=np.int64)
-        if self.kind == "solid":
-            return np.full(addr.shape, self.word_a, dtype=np.uint16)
-        if self.kind == "checkerboard":
-            return np.where(addr % 2 == 0, self.word_a, self.word_b).astype(np.uint16)
-        if self.kind == "striped":
-            return np.where((addr // STRIPE_LEN) % 2 == 0, self.word_a, self.word_b).astype(
-                np.uint16
-            )
-        return hash_words16(self.seed, addr)
-
-    def bits(self, num_addresses: int) -> np.ndarray:
-        """Target bit per cell, MSB first within each word."""
-        return words_to_bits(self.words(np.arange(num_addresses)))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def words_to_bits(words: np.ndarray) -> np.ndarray:
-    """Expand 16-bit words to a flat bool array, MSB first (bit j of the
-    word at address a lands at cell index a*16 + j, j=0 being the MSB)."""
-    w = np.ascontiguousarray(words, dtype=">u2")
-    return np.unpackbits(w.view(np.uint8)).astype(bool)
 
 
 @dataclass
@@ -325,8 +260,16 @@ class ChipConfig:
                 "metastable.bias_beta": self.bias_beta,
             }
         )
-        if self.num_addresses <= 0:
-            raise ValueError("num_addresses must be > 0")
+        if not isinstance(self.chip_id, str):
+            raise ValueError(f"recipe field chip_id must be a string, got {type(self.chip_id).__name__}")
+        try:
+            id_bytes = len(self.chip_id.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ValueError("recipe field chip_id is not encodable as UTF-8") from None
+        if id_bytes > _MAX_CHIP_ID_BYTES:
+            raise ValueError(f"recipe field chip_id must fit in {_MAX_CHIP_ID_BYTES} UTF-8 bytes, got {id_bytes}")
+        if not 0 < self.num_addresses <= _MAX_ADDRESSES:
+            raise ValueError(f"num_addresses must lie in [1, {_MAX_ADDRESSES}], got {self.num_addresses}")
         if not self.tau_components:
             raise ValueError("tau_components must not be empty")
         total = sum(c.weight for c in self.tau_components)
@@ -386,15 +329,20 @@ class ChipConfig:
             meta = d["metastable"]
             env = d["env"]
             marg = d.get("marginal_addresses")
+            if marg is not None and not isinstance(marg, dict):
+                raise TypeError(f"marginal_addresses must be an object, got {type(marg).__name__}")
             marginal = (
                 MarginalAddressPopulation(**{k: float(v) for k, v in marg.items()})
                 if marg is not None
                 else MarginalAddressPopulation()
             )
-            _require_finite({"num_addresses": float(d["num_addresses"])})
+            num_addresses = d["num_addresses"]
+            _require_finite({"num_addresses": float(num_addresses)})
+            if isinstance(num_addresses, bool) or not isinstance(num_addresses, int):
+                raise TypeError(f"num_addresses must be an integer, got {num_addresses!r}")
             return cls(
                 chip_id=d.get("chip_id", "default"),
-                num_addresses=int(d["num_addresses"]),
+                num_addresses=num_addresses,
                 tau_components=tuple(
                     TauComponent(float(c["weight"]), float(c["mean_ns"]), float(c["sigma_ns"]))
                     for c in tau["components"]
@@ -480,6 +428,22 @@ class ChipModel:
 def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> ChipModel:
     """Sample a cell population from ``config``; deterministic in (config, seed)."""
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cells = _sample_cells(config, gen)
+    except FloatingPointError as exc:
+        raise ValueError(f"recipe values overflow float64 when sampled ({exc})") from None
+    return ChipModel(
+        chip_id=chip_id or config.chip_id,
+        num_addresses=config.num_addresses,
+        cells=cells,
+        stored=np.ones(config.num_cells, dtype=bool),
+        env_coeffs=config.env,
+        seed=int(seed),
+    )
+
+
+def _sample_cells(config: ChipConfig, gen: np.random.Generator) -> CellParams:
     a_count = config.num_addresses
     m = config.num_cells
 
@@ -525,15 +489,7 @@ def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> Ch
         bias[live] = np.clip(bias_word[alive] + jitter[alive], 0.01, 0.99)
         mf[live] = 1.0
 
-    cells = CellParams(tau_ns=tau, steepness=steep, metastable_frac=mf, metastable_bias=bias)
-    return ChipModel(
-        chip_id=chip_id or config.chip_id,
-        num_addresses=a_count,
-        cells=cells,
-        stored=np.ones(m, dtype=bool),
-        env_coeffs=config.env,
-        seed=int(seed),
-    )
+    return CellParams(tau_ns=tau, steepness=steep, metastable_frac=mf, metastable_bias=bias)
 
 
 def _resample_below(values: np.ndarray, lower: float, redraw, max_rounds: int = 200) -> np.ndarray:
@@ -543,7 +499,10 @@ def _resample_below(values: np.ndarray, lower: float, redraw, max_rounds: int = 
         if bad.size == 0:
             return values
         values[bad] = redraw(bad.size, bad)
-    raise RuntimeError("truncated sampling did not converge; check distribution parameters")
+    raise ValueError(
+        f"sampling tau above tau.min_ns = {lower} ns did not converge in {max_rounds} rounds; "
+        "check the recipe's tau distributions"
+    )
 
 
 def tau_effective(chip: ChipModel, env: Environment, cell_indices: np.ndarray | None = None) -> np.ndarray:
@@ -604,57 +563,43 @@ def _round_keys(chip: ChipModel, rounds: np.ndarray) -> np.ndarray:
     return np.stack([chip.rng.round_keys(rounds, s) for s in streams], axis=1)
 
 
-def _write_errors(
-    keys: np.ndarray,
-    toggle: np.ndarray,
-    target: np.ndarray,
-    thresholds: tuple[np.ndarray, ...],
-    round_keys: np.ndarray,
-) -> np.ndarray:
-    """Which cells read back wrong after one toggle-write, per pulse width.
+def _write_errors(keys: np.ndarray, thresholds: tuple[np.ndarray, ...], round_keys: np.ndarray) -> np.ndarray:
+    """Which cells read back 1 after one write of 0, per pulse width.
 
     A toggle fails when its draw is below the width's failure threshold.
-    A failed toggle leaves the stored bit, the wrong one, unless the cell
-    goes metastable and resolves to the target.  The meta and value draws
-    of a (cell, round) do not depend on the width, so they are made once,
-    and only for the cells that fail at the widest threshold.  Returns a
-    (widths, cells) bool array; a readout is its target where this is
-    False and the other bit where it is True.  Pure in (seed, cell, round):
-    ``round_keys`` is the round's row of _round_keys.
+    A failed toggle leaves the reset 1, unless the cell goes metastable and
+    resolves to 0.  The meta and value draws of a (cell, round) do not
+    depend on the width, so they are made once, and only for the cells that
+    fail at the widest threshold.  Returns a (widths, cells) bool array,
+    which is the readout.  Pure in (seed, cell, round): ``round_keys`` is
+    the round's row of _round_keys.
     """
     fail, widest, meta, bias = thresholds
     toggle_key, meta_key, value_key = round_keys
     draw = draws(keys, toggle_key)
-    wrong = toggle.copy()
-    idx = np.flatnonzero(toggle & (draw < widest))
+    idx = np.flatnonzero(draw < widest)
     mi = idx[draws(keys[idx], meta_key) < meta[idx]]
-    wrong[mi] = (draws(keys[mi], value_key) < bias[mi]) != target[mi]
     errors = draw < fail
-    errors &= wrong
+    errors[:, mi[draws(keys[mi], value_key) >= bias[mi]]] = False
     return errors
 
 
 @dataclass(frozen=True)
 class _Readout:
     """The per-run set-up of a campaign over fixed cells (an index array, or
-    a slice for the whole array) at one pulse width: their keys, target bits
-    and draw thresholds."""
+    a slice for the whole array) at one pulse width: their keys and draw
+    thresholds."""
 
     chip: ChipModel
     cells: np.ndarray | slice
     keys: np.ndarray
-    target: np.ndarray
     fail: np.ndarray
     meta: np.ndarray
     bias: np.ndarray
 
 
 def _plan_readout(
-    chip: ChipModel,
-    pattern: DataPattern,
-    timing: TimingParams,
-    env: Environment,
-    cell_indices: np.ndarray | None = None,
+    chip: ChipModel, timing: TimingParams, env: Environment, cell_indices: np.ndarray | None = None
 ) -> _Readout:
     if cell_indices is None:
         cells, keys = slice(None), chip.cell_keys()
@@ -662,7 +607,7 @@ def _plan_readout(
         cells = np.asarray(cell_indices)
         keys = chip.cell_keys(cells)
     (fail,), _, meta, bias = _thresholds(chip, (timing,), env, cells)
-    return _Readout(chip, cells, keys, pattern.bits(chip.num_addresses)[cells], fail, meta, bias)
+    return _Readout(chip, cells, keys, fail, meta, bias)
 
 
 def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
@@ -672,10 +617,9 @@ def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
     Unlike _write_errors, which draws the meta and value words only for the
     cells whose toggle fails, this draws all three words of every cell, for
     batches of rounds at a time: harvested cells fail about half the time,
-    so sparse gathers would save nothing there.  Every round starts from
-    the all-ones reset, so a cell toggles exactly where its target is 0 and
-    reads back 1 where its target is 1.  A toggling cell reads 1 when its
-    toggle fails, unless it goes metastable and resolves to 0.
+    so sparse gathers would save nothing there.  A cell reads 1 when its
+    toggle from the all-ones reset fails, unless it goes metastable and
+    resolves to 0.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -696,7 +640,6 @@ def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
         np.less(draw_rows(plan.keys, rk[:, 2], w, s), plan.bias, out=one)
         keep |= one
         failed &= keep
-    rows |= plan.target
     plan.chip.stored[plan.cells] = rows[-1]
     return rows
 
@@ -705,12 +648,11 @@ def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
 class MeasurementMatrix:
     """n repeated reset -> reduced write -> read campaigns over one cell set.
 
-    Row i holds the readout bits of one round; ``written`` holds the target
-    bits the write attempted to store.
+    Row i holds the readout bits of one round; every cell was written 0, so
+    a 1 is an error.
     """
 
     bits: np.ndarray
-    written: np.ndarray
     t_w_ns: float
 
     @property
@@ -722,31 +664,27 @@ class MeasurementMatrix:
         return self.bits.shape[1]
 
     def error_fraction(self) -> float:
-        """Mean fraction of readout bits that disagree with the written data."""
-        # row by row: a full-size comparison temporary would raise the peak RSS
-        errors = sum(int(np.count_nonzero(row != self.written)) for row in self.bits)
-        return errors / self.bits.size
+        """Mean fraction of readout bits that disagree with the written 0."""
+        return np.count_nonzero(self.bits) / self.bits.size
 
 
 def measure(
     chip: ChipModel,
-    pattern: DataPattern,
     timing: TimingParams,
     env: Environment | None = None,
     n: int = 50,
     start_round: int = 0,
     cell_indices: np.ndarray | None = None,
 ) -> MeasurementMatrix:
-    """Run ``n`` independent reset -> write(pattern, t_w) -> read cycles.
+    """Run ``n`` independent reset -> write(0, t_w) -> read cycles.
 
     With ``cell_indices`` the campaign is evaluated only for that subset;
     the counter-based RNG guarantees the result equals the corresponding
     columns of a full-array campaign.  The chip is left in the state the
     final cycle wrote (matching what the hardware would hold afterwards).
     """
-    plan = _plan_readout(chip, pattern, timing, env or Environment(), cell_indices)
-    rows = _readout_rows(plan, n, start_round)
-    return MeasurementMatrix(bits=rows, written=plan.target, t_w_ns=timing.t_w_ns)
+    plan = _plan_readout(chip, timing, env or Environment(), cell_indices)
+    return MeasurementMatrix(bits=_readout_rows(plan, n, start_round), t_w_ns=timing.t_w_ns)
 
 
 @dataclass
@@ -755,10 +693,9 @@ class CampaignFold:
     round instead of kept as an n x cells matrix.
 
     ``errors`` counts the readout bits, over all rounds, that disagree with
-    the written data; ``flip_counts`` holds each cell's number of changes
+    the written 0; ``flip_counts`` holds each cell's number of changes
     between consecutive readouts, in the smallest unsigned dtype that holds
-    n - 1; ``first_errors`` marks the cells whose round-0 readout disagrees
-    with the written bit.
+    n - 1; ``first_errors`` is the round-0 readout, 1 where it is wrong.
     """
 
     t_w_ns: float
@@ -772,7 +709,7 @@ class CampaignFold:
         return self.flip_counts.size
 
     def error_fraction(self) -> float:
-        """Mean fraction of readout bits that disagree with the written data."""
+        """Mean fraction of readout bits that disagree with the written 0."""
         return self.errors / (self.n_measurements * self.num_cells)
 
 
@@ -790,12 +727,11 @@ def _fold_workers(blocks: int) -> int:
 
 def fold_campaigns(
     chip: ChipModel,
-    pattern: DataPattern,
     timings,
     env: Environment | None = None,
     n: int = 50,
 ) -> list[CampaignFold]:
-    """The campaign of ``measure(chip, pattern, t, env, n)`` for each timing
+    """The campaign of ``measure(chip, t, env, n)`` for each timing
     t, folded into a CampaignFold, with each (cell, round) drawn once for
     all timings.
 
@@ -815,7 +751,6 @@ def fold_campaigns(
         raise ValueError("need at least one pulse width")
     env = env or Environment()
 
-    all_target = pattern.bits(chip.num_addresses)
     all_keys = chip.cell_keys()
     widths, m = len(timings), chip.num_cells
     flips = np.zeros((widths, m), dtype=np.min_scalar_type(n - 1))
@@ -827,22 +762,19 @@ def fold_campaigns(
         """Folds the block at ``lo`` into its slices of flips, first and
         stored; returns its error count per width."""
         cells = slice(lo, lo + _FOLD_BLOCK)
-        target, keys = all_target[cells], all_keys[cells]
+        keys = all_keys[cells]
         thresholds = _thresholds(chip, timings, env, cells)
-        toggle = ~target  # every round starts from the all-ones reset
         block_flips = flips[:, cells]
         errors = np.zeros(widths, dtype=np.int64)
-        prev = first[:, cells] = _write_errors(keys, toggle, target, thresholds, round_keys[0])
+        prev = first[:, cells] = _write_errors(keys, thresholds, round_keys[0])
         errors += [np.count_nonzero(row) for row in prev]
         for rk in round_keys[1:]:
-            cur = _write_errors(keys, toggle, target, thresholds, rk)
+            cur = _write_errors(keys, thresholds, rk)
             errors += [np.count_nonzero(row) for row in cur]
-            # a readout is its target with the error bits flipped, so
-            # readouts change between rounds exactly where error bits do
             prev ^= cur
             block_flips += prev
             prev = cur
-        stored[cells] = target ^ prev[-1]
+        stored[cells] = prev[-1]
         return errors
 
     def block_slices(lo: int) -> list[np.ndarray]:
@@ -971,7 +903,10 @@ def load_chip(path: str | Path) -> ChipModel:
         if version != _CHIP_VERSION:
             raise ValueError(f"{path}: unsupported chip file version {version}")
         (cid_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-        chip_id = _read_exact(fh, cid_len, path).decode("utf-8")
+        try:
+            chip_id = _read_exact(fh, cid_len, path).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: chip id field is not UTF-8 ({exc.reason} at byte {exc.start})") from None
         num_addresses, word_width = struct.unpack("<IH", _read_exact(fh, 6, path))
         if word_width != WORD_WIDTH:
             raise ValueError(f"{path}: word width must be {WORD_WIDTH}, got {word_width}")

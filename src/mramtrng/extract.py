@@ -24,7 +24,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .characterize import CellSelection, selection_digest
-from .device import ChipModel, DataPattern, Environment, TimingParams, _plan_readout, _Readout, _readout_rows
+from .device import ChipModel, Environment, TimingParams, _plan_readout, _Readout, _readout_rows
 
 
 # conditioning geometry: raw bits in (whole bytes), SHA-256 digest bits out, per block
@@ -73,8 +73,8 @@ def required_rounds(target_bits: int, num_randcell: int) -> int:
 @dataclass(frozen=True)
 class HarvestPlan:
     """What every chunk of one harvest shares, computed once per run: the
-    readout set-up of the selected cells (their indices, keys, target bits
-    and draw thresholds) and the provenance (its ``rounds`` and
+    readout set-up of the selected cells (their indices, keys and draw
+    thresholds) and the provenance (its ``rounds`` and
     ``start_round`` are set per chunk)."""
 
     readout: _Readout
@@ -86,25 +86,24 @@ def plan_harvest(
     selection: CellSelection,
     timing: TimingParams,
     env: Environment | None = None,
-    pattern: DataPattern | None = None,
 ) -> HarvestPlan:
     """The per-run set-up of harvesting ``selection`` at ``timing``."""
     if selection.empty:
         raise ValueError("cannot harvest from an empty selection")
     env = env or Environment()
-    pattern = pattern or DataPattern.solid(0x0000)
     prov = {
         "chip_id": chip.chip_id,
         "seed": chip.seed,
         "t_w_ns": timing.t_w_ns,
-        "pattern": pattern.to_dict(),
+        # the data every harvest writes, 0, as a solid word over the all-ones reset
+        "pattern": {"kind": "solid", "word_a": 0, "word_b": 0xFFFF, "seed": 0},
         "env": env.to_dict(),
         "rounds": 0,
         "start_round": 0,
         "num_randcell": selection.num_randcell,
         "selection_sha256": selection_digest(selection),
     }
-    return HarvestPlan(_plan_readout(chip, pattern, timing, env, selection.cell_indices), prov)
+    return HarvestPlan(_plan_readout(chip, timing, env, selection.cell_indices), prov)
 
 
 def harvest_rounds(plan: HarvestPlan, rounds: int, start_round: int = 0) -> Bitstream:
@@ -173,9 +172,12 @@ def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
         (n_bits,) = _HEADER.unpack(header)
         payload = fh.read()
     n_bytes = (n_bits + 7) // 8
-    if len(payload) < n_bytes:
-        raise ValueError(f"{path}: truncated bitstream file")
-    bits = np.unpackbits(np.frombuffer(payload[:n_bytes], dtype=np.uint8), count=n_bits)
+    if len(payload) != n_bytes:
+        what = "truncated bitstream file" if len(payload) < n_bytes else "bitstream file longer than its header says"
+        raise ValueError(
+            f"{path}: {what}: {n_bits} bits need {n_bytes} payload bytes, the file has {len(payload)}"
+        )
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_bits)
     return Bitstream(bits=bits.astype(bool), kind=kind)
 
 

@@ -23,8 +23,6 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _SEED_TWEAK = np.uint64(0xD1B54A32D192ED03)
 
-# 2**-53, for mapping the top 53 bits of a word onto [0, 1)
-_INV_2_53 = float(2.0**-53)
 _TWO_53 = float(2.0**53)
 
 
@@ -73,14 +71,6 @@ class CounterRng:
             c = np.asarray(round_indices, dtype=np.uint64) * _GOLDEN + np.uint64(stream) * _MIX_A
             return mix64(c + self._k_round)
 
-    def words(self, cell_keys: np.ndarray, round_index: int, stream: int) -> np.ndarray:
-        """One uint64 word per cell for the given round and draw stream."""
-        return mix64(cell_keys ^ self.round_keys(round_index, stream))
-
-    def uniforms(self, cell_keys: np.ndarray, round_index: int, stream: int) -> np.ndarray:
-        """One float64 uniform in [0, 1) per cell."""
-        return draws(cell_keys, self.round_keys(round_index, stream)).astype(np.float64) * _INV_2_53
-
 
 def draws(cell_keys: np.ndarray, round_key: np.uint64) -> np.ndarray:
     """The top 53 bits of each cell's word under one round key; the cell's
@@ -118,13 +108,3 @@ def draw_threshold(p: np.ndarray | float) -> np.ndarray:
     below p * 2**53 exactly when it is below its ceiling.
     """
     return np.ceil(np.asarray(p, dtype=np.float64) * _TWO_53).astype(np.uint64)
-
-
-def hash_words16(seed: int, indices: np.ndarray, stream: int = 0) -> np.ndarray:
-    """Deterministic 16-bit words keyed by (seed, index); used for the
-    pseudo-random data pattern."""
-    with np.errstate(over="ignore"):
-        idx = np.asarray(indices, dtype=np.uint64)
-        base = mix64(np.uint64(seed) * _GOLDEN + _SEED_TWEAK)
-        w = mix64(idx * _GOLDEN + base + np.uint64(stream) * _MIX_B)
-    return (w >> np.uint64(48)).astype(np.uint16)

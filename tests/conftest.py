@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
 from mramtrng.device import (
     ChipConfig,
-    DataPattern,
     EnvCoeffs,
     MarginalAddressPopulation,
     TauComponent,
@@ -16,6 +16,11 @@ from mramtrng.device import (
     create_chip,
     measure,
 )
+
+# every property test replays the same examples and has no time limit; each
+# sets only its max_examples
+settings.register_profile("mramtrng", derandomize=True, deadline=None, database=None)
+settings.load_profile("mramtrng")
 
 
 def small_config(num_addresses: int = 2048) -> ChipConfig:
@@ -36,6 +41,26 @@ def small_config(num_addresses: int = 2048) -> ChipConfig:
     )
 
 
+def cell_set(name: str, num_cells: int) -> np.ndarray | None:
+    """The cells that a write pattern of this name writes 0 to, as an index
+    array, or None for "solid" (every cell).  A cell written 1 never toggles
+    from the all-ones reset, so a campaign writing the pattern is the
+    campaign of these cells, which is why the program writes only 0."""
+    c = np.arange(num_cells)
+    if name == "solid":
+        return None
+    if name == "checkerboard":  # 0xAAAA and 0x5555 at alternate addresses
+        return c[(c // 16 + c % 16) % 2 == 1]
+    if name == "striped":  # 0xFF00 and 0x00FF in alternate 16-address stripes
+        return c[(c // 256) % 2 != (c % 16) // 8]
+    if name == "random":
+        return c[np.random.default_rng(5).random(num_cells) < 0.5]
+    raise ValueError(f"unknown cell set {name!r}")
+
+
+CELL_SETS = ("solid", "checkerboard", "striped", "random")
+
+
 def first_cells(sel, k):
     """``sel`` cut down to its first ``k`` selected cells."""
     mask = np.zeros_like(sel.mask)
@@ -51,7 +76,7 @@ def small_chip():
 @pytest.fixture(scope="session")
 def small_selection(small_chip):
     """The cells of ``small_chip`` that flip 6 to 19 times in 20 rounds at 2.5 ns."""
-    m = measure(small_chip, DataPattern.solid(0), TimingParams(2.5), n=20)
+    m = measure(small_chip, TimingParams(2.5), n=20)
     sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     assert not sel.empty
     return sel

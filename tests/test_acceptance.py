@@ -21,7 +21,6 @@ from mramtrng.characterize import (
     select_cells,
 )
 from mramtrng.device import (
-    DataPattern,
     Environment,
     MeasurementMatrix,
     TimingParams,
@@ -76,9 +75,7 @@ def calibrated():
     """Default chip plus its harvest-timing campaign; elapsed wall time kept."""
     t0 = time.perf_counter()
     chip = create_chip(default_config(), seed=SEED)
-    matrix = measure(
-        chip, DataPattern.solid(0), TimingParams(HARVEST_TW_NS), n=N_ROUNDS
-    )
+    matrix = measure(chip, TimingParams(HARVEST_TW_NS), n=N_ROUNDS)
     elapsed = time.perf_counter() - t0
     return chip, matrix, elapsed
 
@@ -105,7 +102,7 @@ def test_criterion_1_error_fraction_calibration(calibrated):
     chip, matrix, elapsed = calibrated
     err = {HARVEST_TW_NS: matrix.error_fraction()}
     for tw in (5.0, 10.0, 15.0):
-        m = measure(chip, DataPattern.solid(0), TimingParams(tw), n=N_ROUNDS)
+        m = measure(chip, TimingParams(tw), n=N_ROUNDS)
         err[tw] = m.error_fraction()
     ok = (
         0.2559 <= err[2.5] <= 0.3730
@@ -176,7 +173,7 @@ def test_criterion_4_flip_count_oracle():
         n = int(rng.integers(2, 11))
         m = int(rng.integers(1, 65))
         bits = rng.random((n, m)) < rng.random()
-        matrix = MeasurementMatrix(bits=bits, written=np.zeros(m, dtype=bool), t_w_ns=HARVEST_TW_NS)
+        matrix = MeasurementMatrix(bits=bits, t_w_ns=HARVEST_TW_NS)
         if not np.array_equal(count_flips(matrix), _brute_force_flips(bits)):
             mismatches += 1
     _verdict(4, mismatches == 0, f"{mismatches}/1000 brute-force mismatches")
@@ -334,7 +331,6 @@ def test_criterion_8_temperature_and_field(calibrated, selection):
     chip, warm_matrix, _ = calibrated
     cold_matrix = measure(
         chip,
-        DataPattern.solid(0),
         TimingParams(HARVEST_TW_NS),
         Environment(temperature_c=20.0),
         n=N_ROUNDS,
@@ -344,7 +340,6 @@ def test_criterion_8_temperature_and_field(calibrated, selection):
 
     low_field = measure(
         chip,
-        DataPattern.solid(0),
         TimingParams(HARVEST_TW_NS),
         Environment(field_mt=8.0),
         n=N_ROUNDS,

@@ -4,6 +4,8 @@
 the harvest uses, and `count_flips` / `classify_cells` reduce it; the sweep
 and `characterize` reach the same numbers from the sparse `_write_errors`
 kernel of `fold_campaigns`.  These tests require the two to agree exactly.
+Cases named after a cell set of conftest.cell_set stitch each matrix from
+two `measure` calls on cell subsets: the set and the rest of the array.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config
+from conftest import CELL_SETS, cell_set, small_config
 from mramtrng import cli, device
 from mramtrng.characterize import (
     SelectionThresholds,
@@ -26,8 +28,8 @@ from mramtrng.characterize import (
     sweep_tw,
 )
 from mramtrng.device import (
-    DataPattern,
     Environment,
+    MeasurementMatrix,
     TimingParams,
     create_chip,
     fold_campaigns,
@@ -39,17 +41,10 @@ from mramtrng.rng import CounterRng, draw_threshold, draws
 # unsorted, and nothing fails at the nominal 15 ns pulse on the unit-test chip
 WIDTHS = (5.0, 15.0, 2.5, 3.0)
 
-PATTERNS = {
-    "solid": DataPattern.solid(0x0000),
-    "checkerboard": DataPattern.checkerboard(),
-    "striped": DataPattern.striped(),
-    "random": DataPattern.random(seed=5),
-}
-
 # field_threshold_mt of the unit-test chip is 10 mT
 ENVS = {"ref": Environment(), "cold": Environment(temperature_c=5.0), "field": Environment(field_mt=25.0)}
 
-CASES = [(p, "ref", n) for p in PATTERNS for n in (2, 50)] + [
+CASES = [(c, "ref", n) for c in CELL_SETS for n in (2, 50)] + [
     ("solid", e, n) for e in ("cold", "field") for n in (2, 50)
 ]
 
@@ -58,16 +53,28 @@ def _fresh_chip():
     return create_chip(small_config(), seed=7)
 
 
-def _matrix_path(chip, widths, pattern, env, n):
-    """One measure per width, in list order, as the sweep used to run."""
-    return [measure(chip, pattern, TimingParams(t), env, n=n) for t in widths]
+def _stitched(chip, timing, cells, env, n, start_round=0):
+    """measure over the whole array; with a cell index array, stitched
+    from the calls over ``cells`` and over the rest of the array."""
+    if cells is None:
+        return measure(chip, timing, env, n=n, start_round=start_round)
+    bits = np.empty((n, chip.num_cells), dtype=bool)
+    for part in (cells, np.setdiff1d(np.arange(chip.num_cells), cells)):
+        if part.size:
+            bits[:, part] = measure(chip, timing, env, n=n, start_round=start_round, cell_indices=part).bits
+    return MeasurementMatrix(bits=bits, t_w_ns=timing.t_w_ns)
 
 
-@pytest.mark.parametrize("pattern, env, n", CASES)
-def test_sweep_matches_matrix_path(pattern, env, n):
+def _matrix_path(chip, widths, cells, env, n):
+    """One matrix per width, in list order, as the sweep used to run."""
+    return [_stitched(chip, TimingParams(t), cell_set(cells, chip.num_cells), env, n) for t in widths]
+
+
+@pytest.mark.parametrize("cells, env, n", CASES)
+def test_sweep_matches_matrix_path(cells, env, n):
     chip, ref_chip = _fresh_chip(), _fresh_chip()
-    sweep = sweep_tw(chip, WIDTHS, pattern=PATTERNS[pattern], env=ENVS[env], n=n)
-    ref = _matrix_path(ref_chip, WIDTHS, PATTERNS[pattern], ENVS[env], n)
+    sweep = sweep_tw(chip, WIDTHS, env=ENVS[env], n=n)
+    ref = _matrix_path(ref_chip, WIDTHS, cells, ENVS[env], n)
     assert [f.t_w_ns for f in sweep.folds] == list(WIDTHS)
     assert [f.error_fraction() for f in sweep.folds] == [m.error_fraction() for m in ref]
     assert sweep.folds[WIDTHS.index(15.0)].error_fraction() == 0.0
@@ -89,7 +96,7 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
     # address with a nonzero flip count, with all 16 of its counts
     args = ["characterize", str(path), "--n", str(n), "--th-l", "1", "--format", "csv", "--out", str(report)]
     assert cli.main(args + flags) == 0
-    m = measure(chip, DataPattern.solid(0), TimingParams(2.5), e, n=n)
+    m = measure(chip, TimingParams(2.5), e, n=n)
     counts, tax = count_flips(m), classify_cells(m)
     got = np.zeros(chip.num_cells, dtype=np.int64)
     for line in report.read_text().splitlines()[1:]:
@@ -104,8 +111,8 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
 
 
 @pytest.mark.parametrize("block", [None, 4999])
-@pytest.mark.parametrize("pattern, env, n", CASES)
-def test_fold_matches_matrix_path(monkeypatch, pattern, env, n, block):
+@pytest.mark.parametrize("cells, env, n", CASES)
+def test_fold_matches_matrix_path(monkeypatch, cells, env, n, block):
     """Every reduction of every width equals the one of its measure() rows;
     with 4999-cell blocks the unit-test chip spans seven blocks, the last
     one partial."""
@@ -113,54 +120,53 @@ def test_fold_matches_matrix_path(monkeypatch, pattern, env, n, block):
         monkeypatch.setattr(device, "_FOLD_BLOCK", block)
     chip, ref_chip = _fresh_chip(), _fresh_chip()
     timings = [TimingParams(t) for t in WIDTHS]
-    folds = fold_campaigns(chip, PATTERNS[pattern], timings, ENVS[env], n=n)
-    ref = _matrix_path(ref_chip, WIDTHS, PATTERNS[pattern], ENVS[env], n)
+    folds = fold_campaigns(chip, timings, ENVS[env], n=n)
+    ref = _matrix_path(ref_chip, WIDTHS, cells, ENVS[env], n)
     for fold, m in zip(folds, ref, strict=True):
         assert (fold.t_w_ns, fold.n_measurements) == (m.t_w_ns, n)
-        assert fold.errors == np.count_nonzero(m.bits != m.written)
+        assert fold.errors == np.count_nonzero(m.bits)
         assert fold.error_fraction() == m.error_fraction()
-        assert np.array_equal(fold.first_errors, m.bits[0] != m.written)
+        assert np.array_equal(fold.first_errors, m.bits[0])
         assert np.array_equal(fold.flip_counts, count_flips(m))
         assert np.array_equal(classify_fold(fold).labels, classify_cells(m).labels)
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     seed=st.integers(0, 2**64 - 1),
     addresses=st.integers(1, 512),
-    pattern=st.sampled_from(list(PATTERNS)),
+    cells=st.sampled_from(CELL_SETS),
     temperature=st.floats(0.0, 70.0),
     field=st.floats(0.0, 30.0),
     widths=st.lists(st.floats(0.5, 15.0), min_size=1, max_size=4),
     n=st.integers(1, 20),
     start=st.integers(0, 19),
 )
-def test_fold_equals_measure_rows_on_random_chips(seed, addresses, pattern, temperature, field, widths, n, start):
+def test_fold_equals_measure_rows_on_random_chips(seed, addresses, cells, temperature, field, widths, n, start):
     """The sparse fold equals the reductions of the dense measure() rows, the
-    chip's final state included.  Each width's rows come from two measure
-    calls split at round ``start``, so the second starts mid-campaign.  At
-    512 addresses a call runs in batches of 8 rounds, and a call of 9 to 15
-    or 17 to 20 rounds ends in a short one."""
+    chip's final state included.  Each width's rows come from measure calls
+    split at round ``start``, so the second starts mid-campaign, and at the
+    cell set.  At 512 addresses a call over every cell runs in batches of 8
+    rounds, and a call of 9 to 15 or 17 to 20 rounds ends in a short one."""
     start %= n
     chip, ref_chip = create_chip(small_config(addresses), seed), create_chip(small_config(addresses), seed)
-    env, pattern = Environment(temperature_c=temperature, field_mt=field), PATTERNS[pattern]
+    env, cells = Environment(temperature_c=temperature, field_mt=field), cell_set(cells, chip.num_cells)
     timings = [TimingParams(t) for t in widths]
-    folds = fold_campaigns(chip, pattern, timings, env, n=n)
+    folds = fold_campaigns(chip, timings, env, n=n)
     for fold, t in zip(folds, timings, strict=True):
         parts = [(0, start), (start, n - start)] if start else [(0, n)]
-        ms = [measure(ref_chip, pattern, t, env, n=k, start_round=s) for s, k in parts]
-        rows, written = np.concatenate([m.bits for m in ms]), ms[0].written
-        assert fold.errors == np.count_nonzero(rows != written)
-        assert np.array_equal(fold.first_errors, rows[0] != written)
+        rows = np.concatenate([_stitched(ref_chip, t, cells, env, k, s).bits for s, k in parts])
+        assert fold.errors == np.count_nonzero(rows)
+        assert np.array_equal(fold.first_errors, rows[0])
         assert np.array_equal(fold.flip_counts, np.count_nonzero(rows[1:] != rows[:-1], axis=0))
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
 def test_fold_single_round():
     chip = _fresh_chip()
-    (fold,) = fold_campaigns(chip, DataPattern.solid(0), [TimingParams(2.5)], n=1)
-    m = measure(_fresh_chip(), DataPattern.solid(0), TimingParams(2.5), n=1)
+    (fold,) = fold_campaigns(chip, [TimingParams(2.5)], n=1)
+    m = measure(_fresh_chip(), TimingParams(2.5), n=1)
     assert fold.error_fraction() == m.error_fraction()
     assert np.array_equal(chip.stored, m.bits[0])
     with pytest.raises(ValueError, match="N-1"):
@@ -172,9 +178,9 @@ def test_fold_single_round():
 def test_fold_rejects_bad_arguments():
     chip = _fresh_chip()
     with pytest.raises(ValueError, match="at least one measurement"):
-        fold_campaigns(chip, DataPattern.solid(0), [TimingParams(2.5)], n=0)
+        fold_campaigns(chip, [TimingParams(2.5)], n=0)
     with pytest.raises(ValueError, match="pulse width"):
-        fold_campaigns(chip, DataPattern.solid(0), [], n=5)
+        fold_campaigns(chip, [], n=5)
 
 
 # --- the fold split across processes -----------------------------------------
@@ -191,7 +197,7 @@ def _split_fold(monkeypatch, workers):
     monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(workers, blocks))
     chip = _fresh_chip()
     timings = [TimingParams(t) for t in WIDTHS]
-    return fold_campaigns(chip, PATTERNS["random"], timings, ENVS["ref"], n=50), chip
+    return fold_campaigns(chip, timings, ENVS["ref"], n=50), chip
 
 
 def _assert_same_fold(got, want):
@@ -253,7 +259,7 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
     monkeypatch.setattr(device, "_write_errors", failing_in_workers)
     timings = [TimingParams(t) for t in WIDTHS]
     with pytest.raises(ChildProcessError, match="short data"):
-        fold_campaigns(chip, PATTERNS["random"], timings, n=50)
+        fold_campaigns(chip, timings, n=50)
     assert np.array_equal(chip.stored, before)
     _assert_no_child_left()
 
@@ -261,7 +267,7 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
     exit_ = os._exit
     monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 3))
     with pytest.raises(ChildProcessError, match="exit codes"):
-        fold_campaigns(chip, PATTERNS["random"], timings, n=50)
+        fold_campaigns(chip, timings, n=50)
     assert np.array_equal(chip.stored, before)
     _assert_no_child_left()
 
@@ -306,9 +312,8 @@ def test_draw_threshold_matches_uniforms():
     p = np.random.default_rng(4).random(keys.size)
     p[:1000] = 0.0
     p[1000:2000] = 1.0
-    u = rng.uniforms(keys, round_index=3, stream=1)
     d = draws(keys, rng.round_keys(3, 1))
-    assert np.array_equal(u, d.astype(np.float64) * 2.0**-53)
+    u = d.astype(np.float64) * 2.0**-53  # each cell's uniform, as rng.draws defines it
     # p equal to a uniform itself is the boundary case
     p[2000:3000] = u[2000:3000]
     assert np.array_equal(d < draw_threshold(p), u < p)

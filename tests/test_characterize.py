@@ -17,14 +17,11 @@ from mramtrng.characterize import (
     suggest_th_l,
     sweep_tw,
 )
-from mramtrng.device import DataPattern, MeasurementMatrix, TimingParams, measure
+from mramtrng.device import MeasurementMatrix, TimingParams, measure
 
 
-def _matrix(bits, written=None):
-    bits = np.asarray(bits, dtype=bool)
-    if written is None:
-        written = np.zeros(bits.shape[1], dtype=bool)
-    return MeasurementMatrix(bits=bits, written=np.asarray(written, dtype=bool), t_w_ns=2.5)
+def _matrix(bits):
+    return MeasurementMatrix(bits=np.asarray(bits, dtype=bool), t_w_ns=2.5)
 
 
 def _brute_force_flips(bits):
@@ -119,26 +116,25 @@ def test_empty_selection_is_flagged_not_fatal():
 
 
 def test_classify_cells():
-    written = np.array([0, 0, 0, 1], dtype=bool)
     bits = np.array(
         [
             [0, 1, 0, 1],
-            [0, 1, 1, 1],
+            [0, 1, 1, 0],
             [0, 1, 0, 1],
         ],
         dtype=bool,
     )
-    tax = classify_cells(_matrix(bits, written))
+    tax = classify_cells(_matrix(bits))
     assert tax.labels[0] == CellClass.PERSISTENT_CORRECT
     assert tax.labels[1] == CellClass.PERSISTENT_ERROR
     assert tax.labels[2] == CellClass.NOISE_PRONE
-    assert tax.labels[3] == CellClass.PERSISTENT_CORRECT
-    assert tax.invariant_fraction == 0.75
-    assert tax.count(CellClass.NOISE_PRONE) == 1
+    assert tax.labels[3] == CellClass.NOISE_PRONE  # varied, though it starts and ends at 1
+    assert tax.invariant_fraction == 0.5
+    assert tax.count(CellClass.NOISE_PRONE) == 2
 
 
 def test_selected_cells_are_noise_prone(fresh_small_chip):
-    m = measure(fresh_small_chip, DataPattern.solid(0), TimingParams(2.5), n=20)
+    m = measure(fresh_small_chip, TimingParams(2.5), n=20)
     sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     tax = classify_cells(m)
     assert not sel.empty
@@ -150,7 +146,7 @@ def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     by_tw = {f.t_w_ns: f.error_fraction() for f in sweep.folds}
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
-    again = measure(fresh_small_chip, DataPattern.solid(0), TimingParams(2.5), n=8)
+    again = measure(fresh_small_chip, TimingParams(2.5), n=8)
     fold = sweep.folds[-1]
     assert (fold.t_w_ns, fold.n_measurements) == (2.5, 8)
     assert np.array_equal(fold.flip_counts, count_flips(again))

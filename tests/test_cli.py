@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import small_config
 from mramtrng import characterize, cli
 from mramtrng.device import default_config, load_chip
+from mramtrng.extract import Bitstream, save_bitstream
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +203,7 @@ def test_rounds_beyond_rated_maximum_exit_2(config_file, chip_file, tmp_path, ca
     write; --n at MAX_ROUNDS reaches the fold (stubbed, so it does not run)."""
     reached = []
 
-    def stub_fold(chip, pattern, timings, env=None, n=50):
+    def stub_fold(chip, timings, env=None, n=50):
         reached.append(n)
         raise _FoldReached
 
@@ -229,7 +231,7 @@ def test_thresholds_beyond_rounds_exit_2(config_file, chip_file, tmp_path, capsy
     or file write; a window that ends at N-1 reaches the fold (stubbed)."""
     reached = []
 
-    def stub_fold(chip, pattern, timings, env=None, n=50):
+    def stub_fold(chip, timings, env=None, n=50):
         reached.append(n)
         raise _FoldReached
 
@@ -371,11 +373,12 @@ def _chip_file_cases(valid: bytes) -> dict:
     """A phrase of the one-line error -> a malformed chip file that must give it."""
     cid_len = struct.unpack_from("<H", valid, 6)[0]
     tau = 8 + cid_len + 6  # offset of the first tau_ns entry
-    nan_tau, zero_addr, bad_width, nan_field = (bytearray(valid) for _ in range(4))
+    nan_tau, zero_addr, bad_width, nan_field, bad_id = (bytearray(valid) for _ in range(5))
     struct.pack_into("<d", nan_tau, tau, float("nan"))
     struct.pack_into("<I", zero_addr, tau - 6, 0)
     struct.pack_into("<H", bad_width, tau - 2, 8)
     struct.pack_into("<d", nan_field, len(valid) - 16, float("nan"))  # field_threshold_mt
+    bad_id[8] = 0xFF  # the first chip id byte; 0xFF starts no UTF-8 sequence
     return {
         "truncated chip file": valid[:20],
         "truncated chip file:": valid[:-1],
@@ -384,6 +387,7 @@ def _chip_file_cases(valid: bytes) -> dict:
         "no addresses": bytes(zero_addr),
         "word width": bytes(bad_width),
         "field_threshold_mt must be finite": bytes(nan_field),
+        "chip id field is not UTF-8": bytes(bad_id),
     }
 
 
@@ -407,6 +411,21 @@ def test_non_finite_field_exits_2(config_file, tmp_path, monkeypatch, capsys, va
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: field magnitude") for line in err)
     assert not (out / "run.json").exists()
+
+
+def test_bitstream_longer_than_its_header_exits_2(tmp_path, capsys):
+    """A 2,048-bit conditioned file whose header says 1,024 bits is rejected,
+    not graded on its first 1,024 bits."""
+    path = tmp_path / "conditioned.bits"
+    save_bitstream(Bitstream(np.random.default_rng(3).random(2048) < 0.5, kind="conditioned"), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, 0, 1024)
+    path.write_bytes(bytes(data))
+    assert cli.main(["test", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "battery" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and str(path) in err[0] and "longer than its header says" in err[0]
 
 
 def test_battery_failure_exits_4(tmp_path, capsys):

@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from mramtrng.rng import CounterRng, draw_rows, draws, hash_words16, mix64
+from mramtrng.rng import CounterRng, draw_rows, draws, mix64
+
+
+def _uniforms(rng, keys, round_index, stream):
+    """Each cell's uniform in [0, 1), as the rng.draws docstring defines it."""
+    return draws(keys, rng.round_keys(round_index, stream)) * 2.0**-53
 
 
 def test_mix64_no_collisions_on_counter_stream():
@@ -21,29 +26,29 @@ def test_mix64_does_not_mutate_input():
 def test_words_are_pure_in_key_tuple():
     rng = CounterRng(seed=123)
     keys = rng.cell_keys(np.arange(1000))
-    a = rng.words(keys, round_index=7, stream=0)
-    b = rng.words(keys, round_index=7, stream=0)
+    a = draws(keys, rng.round_keys(7, 0))
+    b = draws(keys, rng.round_keys(7, 0))
     assert np.array_equal(a, b)
     # a fresh instance with the same seed reproduces the stream
-    c = CounterRng(seed=123).words(CounterRng(seed=123).cell_keys(np.arange(1000)), 7, 0)
-    assert np.array_equal(a, c)
+    fresh = CounterRng(seed=123)
+    assert np.array_equal(a, draws(fresh.cell_keys(np.arange(1000)), fresh.round_keys(7, 0)))
 
 
 def test_subset_evaluation_matches_full_evaluation():
     rng = CounterRng(seed=9)
     full_keys = rng.cell_keys(np.arange(4096))
-    full = rng.uniforms(full_keys, round_index=3, stream=1)
+    full = _uniforms(rng, full_keys, 3, 1)
     idx = np.random.default_rng(0).choice(4096, size=512, replace=False)
-    sub = rng.uniforms(rng.cell_keys(idx), round_index=3, stream=1)
+    sub = _uniforms(rng, rng.cell_keys(idx), 3, 1)
     assert np.array_equal(full[idx], sub)
 
 
 def test_streams_and_rounds_decorrelate():
     rng = CounterRng(seed=5)
     keys = rng.cell_keys(np.arange(10000))
-    u0 = rng.uniforms(keys, 0, 0)
-    u1 = rng.uniforms(keys, 0, 1)
-    u2 = rng.uniforms(keys, 1, 0)
+    u0 = _uniforms(rng, keys, 0, 0)
+    u1 = _uniforms(rng, keys, 0, 1)
+    u2 = _uniforms(rng, keys, 1, 0)
     assert not np.array_equal(u0, u1)
     assert not np.array_equal(u0, u2)
     for u in (u0, u1, u2):
@@ -67,17 +72,6 @@ def test_seed_range_validated():
     with pytest.raises(ValueError):
         CounterRng(seed=2**64)
     CounterRng(seed=2**64 - 1)  # max value accepted
-
-
-def test_hash_words16_deterministic_and_spread():
-    w1 = hash_words16(42, np.arange(65536))
-    w2 = hash_words16(42, np.arange(65536))
-    assert np.array_equal(w1, w2)
-    assert w1.dtype == np.uint16
-    # all 16-bit values should appear close to once on average
-    counts = np.bincount(w1, minlength=65536)
-    assert counts.max() < 12
-    assert not np.array_equal(w1, hash_words16(43, np.arange(65536)))
 
 
 def test_draw_rows_equal_draws_per_round():

@@ -8,7 +8,7 @@ import pytest
 from conftest import small_config
 from mramtrng import throughput as throughput_module
 from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
-from mramtrng.device import DataPattern, TimingParams, create_chip, measure
+from mramtrng.device import TimingParams, create_chip, measure
 from mramtrng.extract import plan_harvest
 from mramtrng.throughput import (
     ThroughputInputs,
@@ -102,7 +102,7 @@ def test_input_validation():
 def timed_setup():
     chip = create_chip(small_config(), seed=7)
     timing = TimingParams(2.5)
-    m = measure(chip, DataPattern.solid(0), timing, n=20)
+    m = measure(chip, timing, n=20)
     sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
     assert not sel.empty
     return chip, sel, timing
