@@ -8,10 +8,12 @@ readouts:
 
     flips[c] = sum_i XOR(bits[i][c], bits[i+1][c]),   i = 0 .. N-2
 
-A cell whose failures are temporally random flips about half the time
-(expected count p*(N-1), p = 1/2), while reliable and stuck cells sit at
-or near zero.  Selection keeps cells with th_l <= flips <= th_u; the
-lower threshold is the quality knob and is chosen per chip.
+``device.fold_campaigns`` counts them round by round, without keeping the
+readouts, and this module works from its CampaignFold.  A cell whose
+failures are temporally random flips about half the time (expected count
+(N-1)/2), while reliable and stuck cells sit at or near zero.  Selection
+keeps cells with th_l <= flips <= th_u; the lower threshold is the quality
+knob and is chosen per chip.
 
 Cells also get a coarse taxonomy: persistent_correct (every readout is
 the written 0), persistent_error (every readout is 1) and noise_prone
@@ -33,7 +35,6 @@ from .device import (
     CampaignFold,
     ChipModel,
     Environment,
-    MeasurementMatrix,
     TimingParams,
     WORD_WIDTH,
     fold_campaigns,
@@ -48,27 +49,17 @@ _SEL_ENTRY = np.dtype([("addr", "<u4"), ("mask", "<u2")])
 DEFAULT_SWEEP_TW_NS = (15.0, 10.0, 5.0, 2.5)
 
 
-def expected_threshold(n: int, p: float = 0.5) -> float:
-    """Expected flip count of an ideal random cell over n measurements."""
+def expected_threshold(n: int) -> float:
+    """Expected flip count of an ideal random cell, one that flips with
+    probability 1/2 between readouts, over n measurements."""
     if n < 2:
         raise ValueError(f"need at least two measurements, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
-    return p * (n - 1)
+    return (n - 1) / 2
 
 
 def suggest_th_l(n: int) -> int:
     """A usable starting lower threshold: 60 % of the ideal expectation."""
-    return round(0.6 * expected_threshold(n, 0.5))
-
-
-def count_flips(matrix: MeasurementMatrix) -> np.ndarray:
-    """Consecutive-readout XOR popcount per cell."""
-    if matrix.n_measurements < 2:
-        raise ValueError(
-            f"flip counting needs >= 2 measurements, got {matrix.n_measurements}"
-        )
-    return np.logical_xor(matrix.bits[1:], matrix.bits[:-1]).sum(axis=0)
+    return round(0.6 * expected_threshold(n))
 
 
 @dataclass(frozen=True)
@@ -188,24 +179,17 @@ class CellTaxonomy:
         )
 
 
-def _taxonomy(constant: np.ndarray, correct: np.ndarray, n: int) -> CellTaxonomy:
-    if n < 2:
-        raise ValueError("classification needs >= 2 measurements")
-    labels = np.full(constant.size, CellClass.NOISE_PRONE, dtype=np.uint8)
-    labels[constant & correct] = CellClass.PERSISTENT_CORRECT
-    labels[constant & ~correct] = CellClass.PERSISTENT_ERROR
-    return CellTaxonomy(labels=labels, n_measurements=n)
-
-
-def classify_cells(matrix: MeasurementMatrix) -> CellTaxonomy:
-    constant = np.all(matrix.bits == matrix.bits[0][None, :], axis=0)
-    return _taxonomy(constant, ~matrix.bits[0], matrix.n_measurements)
-
-
 def classify_fold(fold: CampaignFold) -> CellTaxonomy:
-    """classify_cells of a folded campaign: a cell never changed iff it never
-    flipped, and its constant value is right iff its round-0 readout is."""
-    return _taxonomy(fold.flip_counts == 0, ~fold.first_errors, fold.n_measurements)
+    """The stability class of each cell of a folded campaign: a cell never
+    changed iff it never flipped, and its constant value is right iff its
+    round-0 readout is."""
+    if fold.n_measurements < 2:
+        raise ValueError("classification needs >= 2 measurements")
+    constant = fold.flip_counts == 0
+    labels = np.full(constant.size, CellClass.NOISE_PRONE, dtype=np.uint8)
+    labels[constant & ~fold.first_errors] = CellClass.PERSISTENT_CORRECT
+    labels[constant & fold.first_errors] = CellClass.PERSISTENT_ERROR
+    return CellTaxonomy(labels=labels, n_measurements=fold.n_measurements)
 
 
 # --- write-timing sweep ----------------------------------------------------
@@ -249,7 +233,7 @@ def choose_tw(sweep: TimingSweepResult) -> float:
 # --- persistence -----------------------------------------------------------
 
 
-def selection_to_bytes(sel: CellSelection) -> bytes:
+def _selection_bytes(sel: CellSelection) -> bytes:
     """The compact binary form: only addresses holding selected cells,
     with a 16-bit per-address mask."""
     addrs, masks = sel.address_words()
@@ -273,12 +257,12 @@ def selection_digest(sel: CellSelection) -> str:
     """SHA-256 hex digest of the compact form; used as stream provenance."""
     import hashlib
 
-    return hashlib.sha256(selection_to_bytes(sel)).hexdigest()
+    return hashlib.sha256(_selection_bytes(sel)).hexdigest()
 
 
 def save_selection(sel: CellSelection, path: str | Path) -> None:
     with open(path, "wb") as fh:
-        fh.write(selection_to_bytes(sel))
+        fh.write(_selection_bytes(sel))
 
 
 def load_selection(path: str | Path, num_addresses: int) -> CellSelection:

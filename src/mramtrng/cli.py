@@ -52,7 +52,6 @@ from .device import (
 from .extract import (
     B_LEN,
     D_LEN,
-    MAX_STREAM_BITS,
     conditioned_provenance,
     digest_blocks,
     harvest_rounds,
@@ -68,7 +67,6 @@ from .throughput import (
     REFERENCE_T_RW_NS,
     ThroughputInputs,
     format_estimate,
-    measure_pipeline_times,
     throughput,
 )
 
@@ -83,6 +81,11 @@ ENV_PREFIX = "MRTG_"
 # rated maximum of --n: fold time grows linearly in the rounds, and at this
 # many a default-chip pipeline takes seconds, not minutes (see the --n help)
 MAX_ROUNDS = 1000
+
+# rated maximum of --bits: time, memory and file sizes grow linearly in the
+# bits, and at this many a default-chip pipeline takes seconds and a few
+# hundred MB, not minutes and gigabytes (see the --bits help)
+MAX_BITS = 10**8
 
 # conditioned bits produced by `pipeline` are graded in slices this long
 PIPELINE_STREAM_BITS = 100_000
@@ -180,6 +183,14 @@ def _rounds(args: argparse.Namespace, least: int) -> int:
     return n
 
 
+def _bits(args: argparse.Namespace) -> int:
+    """--bits, checked against [1, MAX_BITS] before any file is written."""
+    bits = _opt(args, "bits", int, 1_000_000)
+    if not 1 <= bits <= MAX_BITS:
+        raise UsageError(f"--bits must be an integer in [1, {MAX_BITS}], got {bits}")
+    return bits
+
+
 def _require_seed(args: argparse.Namespace) -> int:
     seed = _opt(args, "seed", int)
     if seed is None:
@@ -237,19 +248,6 @@ def _fold_and_select(
     return fold, select_cells(fold.flip_counts, n, thresholds)
 
 
-def _raw_size(bits: int, num_randcell: int) -> tuple[int, int]:
-    """(rounds, raw bits) of a harvest of ``bits`` conditioned bits from
-    ``num_randcell`` cells; a usage error if the raw bit count does not fit
-    the u64 header of a .bits file."""
-    rounds = required_rounds(bits, num_randcell)
-    raw_bits = rounds * num_randcell
-    if raw_bits > MAX_STREAM_BITS:
-        raise UsageError(
-            f"--bits {bits} needs {raw_bits} raw bits, more than a .bits file holds ({MAX_STREAM_BITS})"
-        )
-    return rounds, raw_bits
-
-
 def _generate_into(
     out: Path,
     chip: ChipModel,
@@ -267,7 +265,8 @@ def _generate_into(
     Raw bits short of a whole block carry over into the next chunk; the
     last partial block is written to raw.bits and not conditioned.
     """
-    rounds, raw_bits = _raw_size(bits, sel.num_randcell)
+    rounds = required_rounds(bits, sel.num_randcell)
+    raw_bits = rounds * sel.num_randcell
     cond_bits = raw_bits // B_LEN * D_LEN
     if chunk_rounds is None:
         chunk_rounds = max(1, HARVEST_CHUNK_BITS // sel.num_randcell)
@@ -374,8 +373,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
     timing = TimingParams(_opt(args, "tw", float, 2.5))
-    bits = _opt(args, "bits", int, 1_000_000)
-    _raw_size(bits, sel.num_randcell)
+    bits = _bits(args)
     out = Path(_opt(args, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     rounds, raw_bits, cond_bits = _generate_into(out, chip, sel, timing, bits, _environment(args))
@@ -408,11 +406,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
     if sel.empty:
         print("selection file contains no cells", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
-    if args.measured:
-        timing = TimingParams(_opt(args, "tw", float, 2.5))
-        inputs = measure_pipeline_times(chip, sel, timing, _environment(args))
-    else:
-        inputs = _reference_inputs(sel)
+    inputs = _reference_inputs(sel)
     estimate = throughput(inputs)
     print(format_estimate(inputs, estimate))
     return EXIT_OK
@@ -421,10 +415,7 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config, config_path = _load_config(args)
     seed = _require_seed(args)
-    bits = _opt(args, "bits", int, 1_000_000)
-    # the selection comes later; one cell needs the fewest raw bits, so a
-    # run that cannot fit then cannot fit with any selection
-    _raw_size(bits, 1)
+    bits = _bits(args)
     n = _rounds(args, 2)
     thresholds = _thresholds(args, n)
     tw = _opt(args, "tw", float)
@@ -509,6 +500,13 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "env" in names:
         p.add_argument("--temp", type=float, help="ambient temperature in C (default 26)")
         p.add_argument("--field", type=float, help="external field in mT (default 0)")
+    if "bits" in names:
+        p.add_argument(
+            "--bits",
+            type=int,
+            help=f"conditioned bits to produce (default 1000000, at most {MAX_BITS}; pipeline --seed 7 "
+            f"--bits {MAX_BITS} took 16 s and 314 MB of memory on 2 CPUs)",
+        )
     if "out" in names:
         p.add_argument("--out", help="output file or directory")
     if "format" in names:
@@ -540,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="harvest raw bits and condition them")
     p.add_argument("chip", help="chip file")
     p.add_argument("selection", help="cell-selection file")
-    p.add_argument("--bits", type=int, help="conditioned bits to produce (default 1000000)")
-    _add_common(p, "tw", "env", "out")
+    _add_common(p, "bits", "tw", "env", "out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("test", help="run the statistical battery over bitstream files")
@@ -552,17 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("throughput", help="generation-rate estimate for a selection")
     p.add_argument("chip", help="chip file")
     p.add_argument("selection", help="cell-selection file")
-    p.add_argument(
-        "--measured",
-        action="store_true",
-        help="wall-clock this package's own pipeline instead of using reference part timings",
-    )
-    _add_common(p, "tw", "env")
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("pipeline", help="chip -> sweep -> select -> generate -> battery -> throughput")
-    _add_common(p, "config", "seed", "tw", "n", "th", "env", "out", "format")
-    p.add_argument("--bits", type=int, help="conditioned bits to produce (default 1000000)")
+    _add_common(p, "config", "seed", "tw", "n", "th", "env", "out", "format", "bits")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -54,8 +54,6 @@ TEMP_MAX_C = 70.0
 # above-threshold external field lowers the effective switching delay
 FIELD_TAU_NS_PER_MT = 0.02
 
-FIELD_AXES = ("+x", "-x", "+y", "-y", "+z", "-z")
-
 _CHIP_MAGIC = b"MRTG"
 _CHIP_VERSION = 1
 # the chip file holds the id length in a u16 and the address count in a u32
@@ -96,7 +94,6 @@ class Environment:
 
     temperature_c: float = T_REF_C
     field_mt: float = 0.0
-    field_axis: str = "+z"
 
     def __post_init__(self):
         if not TEMP_MIN_C <= self.temperature_c <= TEMP_MAX_C:
@@ -106,11 +103,6 @@ class Environment:
             )
         if not (np.isfinite(self.field_mt) and self.field_mt >= 0.0):
             raise ValueError(f"field magnitude must be finite and >= 0, got {self.field_mt}")
-        if self.field_axis not in FIELD_AXES:
-            raise ValueError(f"field_axis must be one of {FIELD_AXES}, got {self.field_axis!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -161,6 +153,15 @@ def _require_finite(fields: dict[str, float]) -> None:
     for name, value in fields.items():
         if not np.isfinite(value):
             raise ValueError(f"recipe field {name} must be finite, got {value}")
+
+
+def _number(section: dict, key: str, where: str) -> float:
+    """``section[key]`` as a float; a JSON string or boolean is not a number
+    (float() would take "0.9" and true), and raises TypeError."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"recipe field {where}.{key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ class ChipConfig:
             if marg is not None and not isinstance(marg, dict):
                 raise TypeError(f"marginal_addresses must be an object, got {type(marg).__name__}")
             marginal = (
-                MarginalAddressPopulation(**{k: float(v) for k, v in marg.items()})
+                MarginalAddressPopulation(**{k: _number(marg, k, "marginal_addresses") for k in marg})
                 if marg is not None
                 else MarginalAddressPopulation()
             )
@@ -344,23 +345,23 @@ class ChipConfig:
                 chip_id=d.get("chip_id", "default"),
                 num_addresses=num_addresses,
                 tau_components=tuple(
-                    TauComponent(float(c["weight"]), float(c["mean_ns"]), float(c["sigma_ns"]))
+                    TauComponent(*(_number(c, k, "tau.components") for k in ("weight", "mean_ns", "sigma_ns")))
                     for c in tau["components"]
                 ),
-                tau_bit_sigma_ns=float(tau["bit_sigma_ns"]),
-                tau_min_ns=float(tau["min_ns"]),
-                steepness_median=float(steep["median_per_ns"]),
-                steepness_addr_sigma=float(steep["addr_sigma"]),
-                steepness_bit_sigma=float(steep["bit_sigma"]),
-                steepness_min=float(steep["min_per_ns"]),
-                steepness_max=float(steep["max_per_ns"]),
-                metastable_frac=float(meta["frac"]),
-                bias_alpha=float(meta["bias_alpha"]),
-                bias_beta=float(meta["bias_beta"]),
+                tau_bit_sigma_ns=_number(tau, "bit_sigma_ns", "tau"),
+                tau_min_ns=_number(tau, "min_ns", "tau"),
+                steepness_median=_number(steep, "median_per_ns", "steepness"),
+                steepness_addr_sigma=_number(steep, "addr_sigma", "steepness"),
+                steepness_bit_sigma=_number(steep, "bit_sigma", "steepness"),
+                steepness_min=_number(steep, "min_per_ns", "steepness"),
+                steepness_max=_number(steep, "max_per_ns", "steepness"),
+                metastable_frac=_number(meta, "frac", "metastable"),
+                bias_alpha=_number(meta, "bias_alpha", "metastable"),
+                bias_beta=_number(meta, "bias_beta", "metastable"),
                 marginal=marginal,
                 env=EnvCoeffs(
-                    temp_tau_slope_ns_per_c=float(env["temp_tau_slope_ns_per_c"]),
-                    field_threshold_mt=float(env["field_threshold_mt"]),
+                    temp_tau_slope_ns_per_c=_number(env, "temp_tau_slope_ns_per_c", "env"),
+                    field_threshold_mt=_number(env, "field_threshold_mt", "env"),
                 ),
             )
         except KeyError as exc:
@@ -372,11 +373,6 @@ class ChipConfig:
     def from_json_file(cls, path: str | Path) -> "ChipConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def default_config() -> ChipConfig:
@@ -425,7 +421,7 @@ class ChipModel:
         return self._rng
 
 
-def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> ChipModel:
+def create_chip(config: ChipConfig, seed: int) -> ChipModel:
     """Sample a cell population from ``config``; deterministic in (config, seed)."""
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     try:
@@ -434,7 +430,7 @@ def create_chip(config: ChipConfig, seed: int, chip_id: str | None = None) -> Ch
     except FloatingPointError as exc:
         raise ValueError(f"recipe values overflow float64 when sampled ({exc})") from None
     return ChipModel(
-        chip_id=chip_id or config.chip_id,
+        chip_id=config.chip_id,
         num_addresses=config.num_addresses,
         cells=cells,
         stored=np.ones(config.num_cells, dtype=bool),

@@ -53,10 +53,6 @@ class Bitstream:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    def to_bytes(self) -> bytes:
-        """MSB-first packing; a final partial byte is zero-padded."""
-        return np.packbits(self.bits).tobytes()
-
 
 def required_rounds(target_bits: int, num_randcell: int) -> int:
     """Fewest harvest rounds whose conditioned output reaches ``target_bits``."""
@@ -97,7 +93,8 @@ def plan_harvest(
         "t_w_ns": timing.t_w_ns,
         # the data every harvest writes, 0, as a solid word over the all-ones reset
         "pattern": {"kind": "solid", "word_a": 0, "word_b": 0xFFFF, "seed": 0},
-        "env": env.to_dict(),
+        # the field's axis is fixed: the model reads only its magnitude
+        "env": {"temperature_c": env.temperature_c, "field_mt": env.field_mt, "field_axis": "+z"},
         "rounds": 0,
         "start_round": 0,
         "num_randcell": selection.num_randcell,
@@ -148,7 +145,6 @@ def condition(raw: Bitstream) -> Bitstream:
 
 
 _HEADER = struct.Struct("<Q")
-MAX_STREAM_BITS = 2**64 - 1  # the most bits the u64 header counts
 
 
 def open_bitstream(path: str | Path, n_bits: int) -> BinaryIO:
@@ -157,11 +153,6 @@ def open_bitstream(path: str | Path, n_bits: int) -> BinaryIO:
     fh = open(path, "wb")
     fh.write(_HEADER.pack(n_bits))
     return fh
-
-
-def save_bitstream(bs: Bitstream, path: str | Path) -> None:
-    with open_bitstream(path, len(bs)) as fh:
-        fh.write(bs.to_bytes())
 
 
 def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:

@@ -83,10 +83,26 @@ def erfc(x: float) -> float:
     return math.exp(arg) * f
 
 
+def _prefix(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a), the factor both tails share, from its log: 0.0
+    where it underflows, NaN where lgamma(a) overflows or where the rounding
+    of the log's terms reaches 1 (a or x beyond about 1e15), so that no
+    digit of the factor would be right."""
+    try:
+        a_log_x, lgamma_a = a * math.log(x), math.lgamma(a)
+    except OverflowError:
+        return math.nan
+    if _MACHEP * (abs(a_log_x) + x + abs(lgamma_a)) >= 1.0:
+        return math.nan
+    ax = a_log_x - x - lgamma_a
+    return 0.0 if ax < -_MAXLOG else math.exp(ax)
+
+
 def igamc(a: float, x: float) -> float:
     """Regularised upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a).
 
-    NaN when a or x is not finite or the fraction does not converge.
+    NaN when a or x is not finite, too large for the prefix, or the
+    fraction does not converge.
     """
     if not (math.isfinite(a) and math.isfinite(x)):
         return math.nan
@@ -98,10 +114,9 @@ def igamc(a: float, x: float) -> float:
         return 1.0
     if x < 1.0 or x < a:
         return 1.0 - igam(a, x)
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -_MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
+    ax = _prefix(a, x)
+    if not ax > 0.0:
+        return ax
     # Legendre's continued fraction for the upper tail
     y = 1.0 - a
     z = x + y + 1.0
@@ -137,7 +152,8 @@ def igamc(a: float, x: float) -> float:
 def igam(a: float, x: float) -> float:
     """Regularised lower incomplete gamma P(a, x) = gamma(a,x)/Gamma(a).
 
-    NaN when a or x is not finite or the series does not converge.
+    NaN when a or x is not finite, too large for the prefix, or the
+    series does not converge.
     """
     if not (math.isfinite(a) and math.isfinite(x)):
         return math.nan
@@ -149,10 +165,9 @@ def igam(a: float, x: float) -> float:
         return 0.0
     if x > 1.0 and x > a:
         return 1.0 - igamc(a, x)
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -_MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
+    ax = _prefix(a, x)
+    if not ax > 0.0:
+        return ax
     # Kummer-type power series for the lower tail
     r = a
     c = 1.0
@@ -162,7 +177,8 @@ def igam(a: float, x: float) -> float:
         c *= x / r
         ans += c
         if c <= ans * _MACHEP:
-            return ans * ax / a
+            # rounding can carry P above 1 where a is tiny
+            return min(1.0, ans * ax / a)
     return math.nan
 
 

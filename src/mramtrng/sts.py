@@ -87,16 +87,16 @@ def _coerce(seq) -> np.ndarray:
     return arr
 
 
-def frequency_monobit(seq, alpha: float = ALPHA) -> TestResult:
+def frequency_monobit(seq) -> TestResult:
     """Proportion of ones versus zeros over the whole sequence."""
     bits = _coerce(seq)
     n = bits.size
     s = abs(2 * int(np.count_nonzero(bits)) - n)
     p = erfc(s / math.sqrt(2.0 * n))
-    return TestResult("Frequency", float(s), p, p >= alpha)
+    return TestResult("Frequency", float(s), p, p >= ALPHA)
 
 
-def block_frequency(seq, m_block: int = 128, alpha: float = ALPHA) -> TestResult:
+def block_frequency(seq, m_block: int = 128) -> TestResult:
     """Proportion of ones within fixed-size blocks; partial tail discarded."""
     bits = _coerce(seq)
     if m_block < 2:
@@ -107,10 +107,10 @@ def block_frequency(seq, m_block: int = 128, alpha: float = ALPHA) -> TestResult
     ones = bits[: n_blocks * m_block].reshape(n_blocks, m_block).sum(axis=1)
     chi = 4.0 * m_block * float(np.sum((ones / m_block - 0.5) ** 2))
     p = igamc(n_blocks / 2.0, chi / 2.0)
-    return TestResult("BlockFrequency", chi, p, p >= alpha)
+    return TestResult("BlockFrequency", chi, p, p >= ALPHA)
 
 
-def runs(seq, alpha: float = ALPHA) -> TestResult:
+def runs(seq) -> TestResult:
     """Total number of runs, conditional on the frequency prerequisite."""
     bits = _coerce(seq)
     n = bits.size
@@ -126,7 +126,7 @@ def runs(seq, alpha: float = ALPHA) -> TestResult:
     num = abs(v - 2.0 * n * prod)
     den = 2.0 * math.sqrt(2.0 * n) * prod
     p = erfc(num / den)
-    return TestResult("Runs", float(v), p, p >= alpha)
+    return TestResult("Runs", float(v), p, p >= ALPHA)
 
 
 _LONGEST_RUN_TABLES = {
@@ -160,7 +160,7 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
     return best
 
 
-def longest_run(seq, alpha: float = ALPHA) -> TestResult:
+def longest_run(seq) -> TestResult:
     """Longest run of ones per block against fixed category probabilities."""
     bits = _coerce(seq)
     n = bits.size
@@ -176,10 +176,10 @@ def longest_run(seq, alpha: float = ALPHA) -> TestResult:
     expected = n_blocks * np.asarray(pi)
     chi = float(np.sum((counts - expected) ** 2 / expected))
     p = igamc(k / 2.0, chi / 2.0)
-    return TestResult("LongestRun", chi, p, p >= alpha)
+    return TestResult("LongestRun", chi, p, p >= ALPHA)
 
 
-def cumulative_sums(seq, reverse: bool = False, alpha: float = ALPHA) -> TestResult:
+def cumulative_sums(seq, reverse: bool = False) -> TestResult:
     """Maximal excursion of the +-1 random walk, forward or reversed."""
     bits = _coerce(seq)
     n = bits.size
@@ -195,7 +195,7 @@ def cumulative_sums(seq, reverse: bool = False, alpha: float = ALPHA) -> TestRes
     for k in range(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1):
         total += normal_cdf((4 * k + 3) * z / sqn) - normal_cdf((4 * k + 1) * z / sqn)
     p = min(1.0, max(0.0, total))
-    return TestResult(name, float(z), p, p >= alpha)
+    return TestResult(name, float(z), p, p >= ALPHA)
 
 
 def _template_counts(bits: np.ndarray, m: int) -> np.ndarray:
@@ -220,7 +220,7 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return (counts.size / n) * float(counts @ counts) - n
 
 
-def serial(seq, m: int = 8, alpha: float = ALPHA) -> tuple[TestResult, TestResult]:
+def serial(seq, m: int = 8) -> tuple[TestResult, TestResult]:
     """Frequencies of overlapping m-bit templates (wrapped); two p-values."""
     bits = _coerce(seq)
     if m < 2:
@@ -237,8 +237,8 @@ def serial(seq, m: int = 8, alpha: float = ALPHA) -> tuple[TestResult, TestResul
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
     p2 = igamc(2 ** (m - 3), d2 / 2.0)
     return (
-        TestResult("Serial1", d1, p1, p1 >= alpha),
-        TestResult("Serial2", d2, p2, p2 >= alpha),
+        TestResult("Serial1", d1, p1, p1 >= ALPHA),
+        TestResult("Serial2", d2, p2, p2 >= ALPHA),
     )
 
 
@@ -247,7 +247,7 @@ def _phi(counts: np.ndarray, n: int) -> float:
     return float(np.sum(c * np.log(c)))
 
 
-def approximate_entropy(seq, m: int = 8, alpha: float = ALPHA) -> TestResult:
+def approximate_entropy(seq, m: int = 8) -> TestResult:
     """ApEn(m) against the ln 2 value of a perfectly random source."""
     bits = _coerce(seq)
     if m < 1:
@@ -258,7 +258,7 @@ def approximate_entropy(seq, m: int = 8, alpha: float = ALPHA) -> TestResult:
     apen = _phi(_fold_counts(counts_next), bits.size) - _phi(counts_next, bits.size)
     chi = 2.0 * bits.size * (math.log(2.0) - apen)
     p = igamc(2 ** (m - 1), chi / 2.0)
-    return TestResult("ApproximateEntropy", chi, p, p >= alpha)
+    return TestResult("ApproximateEntropy", chi, p, p >= ALPHA)
 
 
 # --- battery ---------------------------------------------------------------
@@ -297,11 +297,11 @@ def run_all(seq) -> tuple[TestResult, ...]:
     )
 
 
-def min_pass_count(s: int, alpha: float = ALPHA) -> int:
+def min_pass_count(s: int) -> int:
     """Smallest number of passing sequences the proportion rule accepts."""
     if s < 1:
         raise ValueError("need at least one sequence")
-    threshold = (1.0 - alpha) - 3.0 * math.sqrt(alpha * (1.0 - alpha) / s)
+    threshold = (1.0 - ALPHA) - 3.0 * math.sqrt(ALPHA * (1.0 - ALPHA) / s)
     return max(0, math.floor(s * threshold))
 
 

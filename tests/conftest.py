@@ -1,12 +1,13 @@
 """Shared fixtures: a small chip specimen so most tests stay fast."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mramtrng.characterize import SelectionThresholds, count_flips, select_cells
+from mramtrng.characterize import SelectionThresholds, select_cells
 from mramtrng.device import (
     ChipConfig,
     EnvCoeffs,
@@ -14,7 +15,7 @@ from mramtrng.device import (
     TauComponent,
     TimingParams,
     create_chip,
-    measure,
+    fold_campaigns,
 )
 
 # every property test replays the same examples and has no time limit; each
@@ -61,6 +62,12 @@ def cell_set(name: str, num_cells: int) -> np.ndarray | None:
 CELL_SETS = ("solid", "checkerboard", "striped", "random")
 
 
+def bits_file(bits) -> bytes:
+    """The .bits file of ``bits``, written without the package: the u64
+    little-endian bit count, then the bits packed MSB first."""
+    return struct.pack("<Q", len(bits)) + np.packbits(bits).tobytes()
+
+
 def first_cells(sel, k):
     """``sel`` cut down to its first ``k`` selected cells."""
     mask = np.zeros_like(sel.mask)
@@ -76,8 +83,8 @@ def small_chip():
 @pytest.fixture(scope="session")
 def small_selection(small_chip):
     """The cells of ``small_chip`` that flip 6 to 19 times in 20 rounds at 2.5 ns."""
-    m = measure(small_chip, TimingParams(2.5), n=20)
-    sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
+    (fold,) = fold_campaigns(small_chip, [TimingParams(2.5)], n=20)
+    sel = select_cells(fold.flip_counts, 20, SelectionThresholds(6))
     assert not sel.empty
     return sel
 

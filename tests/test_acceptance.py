@@ -2,9 +2,11 @@
 
 Each test prints a single `criterion N: PASS/FAIL` line with the measured
 numbers so a release run reads as a checklist.  The default-recipe chip is
-built once at full size (65,536 addresses, 1 Mb) and shared.
+built once at full size (65,536 addresses, 1 Mb) and shared, and criteria
+1-3 and 8 read the campaigns that `pipeline` folds from it.
 """
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -14,18 +16,13 @@ import pytest
 
 import reference as ref
 from mramtrng import cli
-from mramtrng.characterize import (
-    SelectionThresholds,
-    classify_cells,
-    count_flips,
-    select_cells,
-)
+from mramtrng.characterize import SelectionThresholds, classify_fold, select_cells, sweep_tw
 from mramtrng.device import (
     Environment,
-    MeasurementMatrix,
     TimingParams,
     create_chip,
     default_config,
+    fold_campaigns,
     measure,
 )
 from mramtrng.extract import Bitstream, condition, harvest_rounds, plan_harvest, required_rounds
@@ -72,18 +69,19 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def calibrated():
-    """Default chip plus its harvest-timing campaign; elapsed wall time kept."""
+    """Default chip plus the folded campaign of each pulse width of the
+    pipeline's sweep, keyed by width; elapsed wall time kept."""
     t0 = time.perf_counter()
     chip = create_chip(default_config(), seed=SEED)
-    matrix = measure(chip, TimingParams(HARVEST_TW_NS), n=N_ROUNDS)
+    folds = {f.t_w_ns: f for f in sweep_tw(chip, n=N_ROUNDS).folds}
     elapsed = time.perf_counter() - t0
-    return chip, matrix, elapsed
+    return chip, folds, elapsed
 
 
 @pytest.fixture(scope="module")
 def selection(calibrated):
-    _, matrix, _ = calibrated
-    return select_cells(count_flips(matrix), N_ROUNDS, SelectionThresholds(th_l=15))
+    _, folds, _ = calibrated
+    return select_cells(folds[HARVEST_TW_NS].flip_counts, N_ROUNDS, SelectionThresholds(th_l=15))
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +97,8 @@ def conditioned_streams(calibrated, selection):
 
 
 def test_criterion_1_error_fraction_calibration(calibrated):
-    chip, matrix, elapsed = calibrated
-    err = {HARVEST_TW_NS: matrix.error_fraction()}
-    for tw in (5.0, 10.0, 15.0):
-        m = measure(chip, TimingParams(tw), n=N_ROUNDS)
-        err[tw] = m.error_fraction()
+    _, folds, elapsed = calibrated
+    err = {tw: fold.error_fraction() for tw, fold in folds.items()}
     ok = (
         0.2559 <= err[2.5] <= 0.3730
         and err[5.0] < 0.05
@@ -116,7 +111,7 @@ def test_criterion_1_error_fraction_calibration(calibrated):
         ok,
         f"err@2.5={err[2.5]:.4f} in [0.2559,0.3730], err@5={err[5.0]:.4f}<0.05, "
         f"err@10={err[10.0]:.4f}<0.01, err@15={err[15.0]:.5f}<0.001, "
-        f"campaign {elapsed:.1f}s<30s",
+        f"chip and sweep {elapsed:.1f}s<30s",
     )
 
 
@@ -124,8 +119,8 @@ def test_criterion_1_error_fraction_calibration(calibrated):
 
 
 def test_criterion_2_invariant_cell_fraction(calibrated):
-    _, matrix, _ = calibrated
-    frac = classify_cells(matrix).invariant_fraction
+    _, folds, _ = calibrated
+    frac = classify_fold(folds[HARVEST_TW_NS]).invariant_fraction
     _verdict(2, 0.40 <= frac <= 0.60, f"persistent cells {100 * frac:.2f}% in [40%,60%]")
 
 
@@ -133,8 +128,8 @@ def test_criterion_2_invariant_cell_fraction(calibrated):
 
 
 def test_criterion_3_selection_statistics(calibrated):
-    _, matrix, _ = calibrated
-    counts = count_flips(matrix)
+    _, folds, _ = calibrated
+    counts = folds[HARVEST_TW_NS].flip_counts
     worst = []
     ok = True
     for th_l in range(15, 24):
@@ -156,9 +151,12 @@ def test_criterion_3_selection_statistics(calibrated):
 # --- 4: flip-count equivalence ----------------------------------------------
 
 
-def _brute_force_flips(bits: np.ndarray) -> np.ndarray:
+ORACLE_CASES = 1000
+
+
+def _brute_force_flips(bits: np.ndarray) -> list[int]:
     n, m = bits.shape
-    out = np.zeros(m, dtype=np.int64)
+    out = [0] * m
     for c in range(m):
         for i in range(n - 1):
             if bits[i][c] != bits[i + 1][c]:
@@ -167,16 +165,29 @@ def _brute_force_flips(bits: np.ndarray) -> np.ndarray:
 
 
 def test_criterion_4_flip_count_oracle():
+    """The flip counts of fold_campaigns, from the sparse kernel, equal the
+    transitions counted one by one over the rows of measure, from the dense
+    kernel, on small default-recipe chips: random seed, 1-4 addresses, 2-10
+    rounds, 1-4 pulse widths per fold."""
     rng = np.random.default_rng(404)
-    mismatches = 0
-    for _ in range(1000):
+    recipe = default_config()
+    mismatches = flips = 0
+    for _ in range(ORACLE_CASES):
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        chip = create_chip(dataclasses.replace(recipe, num_addresses=int(rng.integers(1, 5))), seed)
         n = int(rng.integers(2, 11))
-        m = int(rng.integers(1, 65))
-        bits = rng.random((n, m)) < rng.random()
-        matrix = MeasurementMatrix(bits=bits, t_w_ns=HARVEST_TW_NS)
-        if not np.array_equal(count_flips(matrix), _brute_force_flips(bits)):
-            mismatches += 1
-    _verdict(4, mismatches == 0, f"{mismatches}/1000 brute-force mismatches")
+        timings = [TimingParams(float(t)) for t in rng.uniform(0.5, 6.0, size=int(rng.integers(1, 5)))]
+        for fold, t in zip(fold_campaigns(chip, timings, n=n), timings, strict=True):
+            want = _brute_force_flips(measure(chip, t, n=n).bits)
+            flips += sum(want)
+            if fold.flip_counts.tolist() != want:
+                mismatches += 1
+                break
+    _verdict(
+        4,
+        mismatches == 0 and flips > 0,
+        f"{mismatches}/{ORACLE_CASES} cases differ from brute force ({flips} flips counted)",
+    )
 
 
 # --- 5: conditioning hash correctness ---------------------------------------
@@ -193,7 +204,7 @@ def test_criterion_5_sha256_and_length_law():
     # the pipeline's conditioner must route through that same primitive
     block_bits = np.unpackbits(np.frombuffer(b"a" * 64, dtype=np.uint8)).astype(bool)
     out = condition(Bitstream(bits=block_bits, kind="raw"))
-    primitive_ok = out.to_bytes() == hashlib.sha256(b"a" * 64).digest()
+    primitive_ok = np.packbits(out.bits).tobytes() == hashlib.sha256(b"a" * 64).digest()
 
     rng = np.random.default_rng(505)
     law_failures = 0
@@ -328,23 +339,15 @@ def test_criterion_7_throughput_reproduction():
 
 
 def test_criterion_8_temperature_and_field(calibrated, selection):
-    chip, warm_matrix, _ = calibrated
-    cold_matrix = measure(
-        chip,
-        TimingParams(HARVEST_TW_NS),
-        Environment(temperature_c=20.0),
-        n=N_ROUNDS,
-    )
-    cold = select_cells(count_flips(cold_matrix), N_ROUNDS, SelectionThresholds(th_l=15))
+    chip, _, _ = calibrated
+    harvest = TimingParams(HARVEST_TW_NS)
+    (cold_fold,) = fold_campaigns(chip, [harvest], Environment(temperature_c=20.0), n=N_ROUNDS)
+    cold = select_cells(cold_fold.flip_counts, N_ROUNDS, SelectionThresholds(th_l=15))
     fewer_cold = cold.num_randcell < selection.num_randcell
 
-    low_field = measure(
-        chip,
-        TimingParams(HARVEST_TW_NS),
-        Environment(field_mt=8.0),
-        n=N_ROUNDS,
-    )
-    field_identical = np.array_equal(low_field.bits, warm_matrix.bits)
+    no_field = measure(chip, harvest, n=N_ROUNDS)
+    low_field = measure(chip, harvest, Environment(field_mt=8.0), n=N_ROUNDS)
+    field_identical = np.array_equal(low_field.bits, no_field.bits)
     ok = fewer_cold and field_identical
     _verdict(
         8,

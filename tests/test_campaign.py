@@ -1,9 +1,10 @@
 """The campaign engine against the row-level matrix path.
 
 `measure` builds the full n x cells readout matrix with the dense kernel
-the harvest uses, and `count_flips` / `classify_cells` reduce it; the sweep
-and `characterize` reach the same numbers from the sparse `_write_errors`
-kernel of `fold_campaigns`.  These tests require the two to agree exactly.
+the harvest uses, and the brute-force reductions below count its flips and
+classify its cells; the sweep and `characterize` reach the same numbers from
+the sparse `_write_errors` kernel of `fold_campaigns`.  These tests require
+the two to agree exactly.
 Cases named after a cell set of conftest.cell_set stitch each matrix from
 two `measure` calls on cell subsets: the set and the rest of the array.
 """
@@ -19,11 +20,11 @@ from hypothesis import strategies as st
 from conftest import CELL_SETS, cell_set, small_config
 from mramtrng import cli, device
 from mramtrng.characterize import (
+    CellClass,
+    CellTaxonomy,
     SelectionThresholds,
     choose_tw,
-    classify_cells,
     classify_fold,
-    count_flips,
     select_cells,
     sweep_tw,
 )
@@ -51,6 +52,21 @@ CASES = [(c, "ref", n) for c in CELL_SETS for n in (2, 50)] + [
 
 def _fresh_chip():
     return create_chip(small_config(), seed=7)
+
+
+def _flips(rows):
+    """Each cell's number of changes between consecutive readout rows."""
+    return np.count_nonzero(rows[1:] != rows[:-1], axis=0)
+
+
+def _taxonomy(rows):
+    """Each cell's stability class from its readout rows: invariant cells
+    are correct or in error by their constant value, the rest noise-prone."""
+    constant = np.all(rows == rows[0], axis=0)
+    labels = np.full(rows.shape[1], CellClass.NOISE_PRONE, dtype=np.uint8)
+    labels[constant & ~rows[0]] = CellClass.PERSISTENT_CORRECT
+    labels[constant & rows[0]] = CellClass.PERSISTENT_ERROR
+    return CellTaxonomy(labels=labels, n_measurements=len(rows))
 
 
 def _stitched(chip, timing, cells, env, n, start_round=0):
@@ -86,7 +102,7 @@ def test_sweep_matches_matrix_path(cells, env, n):
 @pytest.mark.parametrize("n, env", [(2, "ref"), (50, "ref"), (50, "cold"), (50, "field")])
 def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
     """Flip counts, error fraction and invariant share printed or written by
-    `characterize` equal those of count_flips / classify_cells."""
+    `characterize` equal those of the measure() rows."""
     chip = _fresh_chip()
     path, report = tmp_path / "chip.mrtg", tmp_path / "sel.csv"
     save_chip(chip, path)
@@ -97,7 +113,7 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
     args = ["characterize", str(path), "--n", str(n), "--th-l", "1", "--format", "csv", "--out", str(report)]
     assert cli.main(args + flags) == 0
     m = measure(chip, TimingParams(2.5), e, n=n)
-    counts, tax = count_flips(m), classify_cells(m)
+    counts, tax = _flips(m.bits), _taxonomy(m.bits)
     got = np.zeros(chip.num_cells, dtype=np.int64)
     for line in report.read_text().splitlines()[1:]:
         addr, _, *flips = line.split(",")
@@ -127,8 +143,8 @@ def test_fold_matches_matrix_path(monkeypatch, cells, env, n, block):
         assert fold.errors == np.count_nonzero(m.bits)
         assert fold.error_fraction() == m.error_fraction()
         assert np.array_equal(fold.first_errors, m.bits[0])
-        assert np.array_equal(fold.flip_counts, count_flips(m))
-        assert np.array_equal(classify_fold(fold).labels, classify_cells(m).labels)
+        assert np.array_equal(fold.flip_counts, _flips(m.bits))
+        assert np.array_equal(classify_fold(fold).labels, _taxonomy(m.bits).labels)
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
@@ -159,7 +175,7 @@ def test_fold_equals_measure_rows_on_random_chips(seed, addresses, cells, temper
         rows = np.concatenate([_stitched(ref_chip, t, cells, env, k, s).bits for s, k in parts])
         assert fold.errors == np.count_nonzero(rows)
         assert np.array_equal(fold.first_errors, rows[0])
-        assert np.array_equal(fold.flip_counts, np.count_nonzero(rows[1:] != rows[:-1], axis=0))
+        assert np.array_equal(fold.flip_counts, _flips(rows))
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
@@ -173,6 +189,31 @@ def test_fold_single_round():
         select_cells(fold.flip_counts, 1, SelectionThresholds(1))
     with pytest.raises(ValueError, match="2 measurements"):
         classify_fold(fold)
+
+
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_fold_flip_count_extremes(monkeypatch, n, dtype):
+    """A cell whose readout never changes has no flips, and one that changes
+    every round has n - 1, in the smallest dtype that holds n - 1.  The
+    kernel is replaced by one that reads 1 on odd rounds at the first
+    width, always at the second and never at the third."""
+    chip = _fresh_chip()
+    rounds = {tuple(rk): r for r, rk in enumerate(device._round_keys(chip, np.arange(n)))}
+
+    def kernel(keys, thresholds, round_keys):
+        odd = rounds[tuple(round_keys)] % 2 == 1
+        return np.array([[odd], [True], [False]]).repeat(keys.size, axis=1)
+
+    monkeypatch.setattr(device, "_write_errors", kernel)
+    alternating, stuck, correct = fold_campaigns(chip, [TimingParams(t) for t in (2.5, 3.0, 15.0)], n=n)
+    m = chip.num_cells
+    assert all(f.flip_counts.dtype == dtype for f in (alternating, stuck, correct))
+    assert np.all(alternating.flip_counts == n - 1) and alternating.errors == n // 2 * m
+    assert not stuck.flip_counts.any() and stuck.errors == n * m
+    assert not correct.flip_counts.any() and correct.errors == 0
+    labels = [classify_fold(f).labels for f in (alternating, stuck, correct)]
+    want = (CellClass.NOISE_PRONE, CellClass.PERSISTENT_ERROR, CellClass.PERSISTENT_CORRECT)
+    assert all(np.all(got == cls) for got, cls in zip(labels, want))
 
 
 def test_fold_rejects_bad_arguments():

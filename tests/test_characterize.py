@@ -1,14 +1,15 @@
-"""Flip counting, selection and taxonomy against brute-force references."""
+"""Flip counting, selection, taxonomy and the sweep over folded campaigns."""
 
 import numpy as np
 import pytest
 
+from conftest import small_config
+from mramtrng import device
 from mramtrng.characterize import (
     CellClass,
     SelectionThresholds,
     choose_tw,
-    classify_cells,
-    count_flips,
+    classify_fold,
     expected_threshold,
     export_selection_csv,
     load_selection,
@@ -17,14 +18,11 @@ from mramtrng.characterize import (
     suggest_th_l,
     sweep_tw,
 )
-from mramtrng.device import MeasurementMatrix, TimingParams, measure
-
-
-def _matrix(bits):
-    return MeasurementMatrix(bits=np.asarray(bits, dtype=bool), t_w_ns=2.5)
+from mramtrng.device import CampaignFold, TimingParams, create_chip, fold_campaigns, measure
 
 
 def _brute_force_flips(bits):
+    """(rounds, cells) readout rows -> each cell's count of changes."""
     n, m = bits.shape
     out = np.zeros(m, dtype=int)
     for c in range(m):
@@ -34,35 +32,50 @@ def _brute_force_flips(bits):
     return out
 
 
-def test_count_flips_matches_brute_force_randomized():
+def _fold_readout(monkeypatch, chip, rows):
+    """Fold ``chip`` over a kernel that reads back ``rows``, a (rounds,
+    widths, cells) bool array, instead of drawing the readout."""
+    n, widths = rows.shape[:2]
+    rounds = {tuple(rk): r for r, rk in enumerate(device._round_keys(chip, np.arange(n)))}
+    monkeypatch.setattr(
+        device, "_write_errors", lambda keys, thresholds, round_keys: rows[rounds[tuple(round_keys)]].copy()
+    )
+    return fold_campaigns(chip, [TimingParams(2.5 + w) for w in range(widths)], n=n)
+
+
+def test_count_flips_matches_brute_force_randomized(monkeypatch):
+    """The fold's flip counts, errors and first rows on random readouts of
+    1-4 addresses over 2-10 rounds at 1-3 widths, any error density."""
     rng = np.random.default_rng(3)
     for _ in range(200):
-        n = int(rng.integers(2, 11))
-        m = int(rng.integers(1, 65))
-        bits = rng.random((n, m)) < rng.uniform(0.05, 0.95)
-        assert np.array_equal(count_flips(_matrix(bits)), _brute_force_flips(bits))
+        chip = create_chip(small_config(int(rng.integers(1, 5))), seed=int(rng.integers(0, 2**32)))
+        n, widths = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+        rows = rng.random((n, widths, chip.num_cells)) < rng.uniform(0.05, 0.95)
+        for w, fold in enumerate(_fold_readout(monkeypatch, chip, rows)):
+            assert np.array_equal(fold.flip_counts, _brute_force_flips(rows[:, w]))
+            assert fold.errors == np.count_nonzero(rows[:, w])
+            assert np.array_equal(fold.first_errors, rows[0, w])
 
 
-def test_count_flips_extremes():
-    const = np.ones((50, 4), dtype=bool)
-    assert np.all(count_flips(_matrix(const)) == 0)
-    alt = np.zeros((50, 4), dtype=bool)
-    alt[1::2] = True
-    assert np.all(count_flips(_matrix(alt)) == 49)
-
-
-def test_count_flips_needs_two_rows():
+def test_count_flips_needs_two_rows(monkeypatch):
+    """One round has no pair of rows to count flips over: every cell of a
+    one-round fold counts 0, and neither selection nor classification takes
+    that for a cell that never changed."""
+    chip = create_chip(small_config(1), seed=7)
+    (fold,) = _fold_readout(monkeypatch, chip, np.ones((1, 1, chip.num_cells), dtype=bool))
+    assert fold.n_measurements == 1 and fold.errors == chip.num_cells
+    assert not fold.flip_counts.any()
     with pytest.raises(ValueError):
-        count_flips(_matrix(np.zeros((1, 8), dtype=bool)))
+        select_cells(fold.flip_counts, 1, SelectionThresholds(1))
+    with pytest.raises(ValueError):
+        classify_fold(fold)
 
 
 def test_expected_threshold():
-    assert expected_threshold(50, 0.5) == 24.5
-    assert expected_threshold(2, 1.0) == 1.0
+    assert expected_threshold(50) == 24.5
+    assert expected_threshold(2) == 0.5
     with pytest.raises(ValueError):
         expected_threshold(1)
-    with pytest.raises(ValueError):
-        expected_threshold(50, 1.5)
 
 
 def test_suggest_th_l():
@@ -115,16 +128,16 @@ def test_empty_selection_is_flagged_not_fatal():
     assert sel.rand_addr_fraction == 0.0
 
 
-def test_classify_cells():
-    bits = np.array(
-        [
-            [0, 1, 0, 1],
-            [0, 1, 1, 0],
-            [0, 1, 0, 1],
-        ],
-        dtype=bool,
+def test_classify_fold():
+    # the fold of the three readout rows [0 1 0 1], [0 1 1 0], [0 1 0 1]
+    fold = CampaignFold(
+        t_w_ns=2.5,
+        n_measurements=3,
+        errors=6,
+        flip_counts=np.array([0, 0, 2, 2], dtype=np.uint8),
+        first_errors=np.array([0, 1, 0, 1], dtype=bool),
     )
-    tax = classify_cells(_matrix(bits))
+    tax = classify_fold(fold)
     assert tax.labels[0] == CellClass.PERSISTENT_CORRECT
     assert tax.labels[1] == CellClass.PERSISTENT_ERROR
     assert tax.labels[2] == CellClass.NOISE_PRONE
@@ -134,9 +147,9 @@ def test_classify_cells():
 
 
 def test_selected_cells_are_noise_prone(fresh_small_chip):
-    m = measure(fresh_small_chip, TimingParams(2.5), n=20)
-    sel = select_cells(count_flips(m), 20, SelectionThresholds(6))
-    tax = classify_cells(m)
+    (fold,) = fold_campaigns(fresh_small_chip, [TimingParams(2.5)], n=20)
+    sel = select_cells(fold.flip_counts, 20, SelectionThresholds(6))
+    tax = classify_fold(fold)
     assert not sel.empty
     assert np.all(tax.labels[sel.cell_indices] == CellClass.NOISE_PRONE)
 
@@ -146,10 +159,10 @@ def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
     by_tw = {f.t_w_ns: f.error_fraction() for f in sweep.folds}
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
-    again = measure(fresh_small_chip, TimingParams(2.5), n=8)
+    rows = measure(fresh_small_chip, TimingParams(2.5), n=8).bits
     fold = sweep.folds[-1]
     assert (fold.t_w_ns, fold.n_measurements) == (2.5, 8)
-    assert np.array_equal(fold.flip_counts, count_flips(again))
+    assert np.array_equal(fold.flip_counts, np.count_nonzero(rows[1:] != rows[:-1], axis=0))
 
 
 def test_choose_tw_tie_prefers_wider_pulse():

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import bits_file, small_config
 from mramtrng import characterize, cli
 from mramtrng.device import default_config, load_chip
-from mramtrng.extract import Bitstream, save_bitstream
 
 
 @pytest.fixture(scope="module")
@@ -333,24 +332,22 @@ def test_generate_selection_for_huge_array_exits_2(chip_file, selection_file, tm
     assert not out.exists()
 
 
+def _assert_bits_rejected(args, out, capsys):
+    """``args`` with --bits just above MAX_BITS, or beyond what the u64
+    header of a .bits file counts, exit 2 with one line and write nothing."""
+    for bits in (cli.MAX_BITS + 1, 10**20):
+        assert cli.main(args + ["--bits", str(bits), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--bits" in err and str(cli.MAX_BITS) in err, err
+        assert not out.exists()
+
+
 def test_generate_bits_beyond_u64_header_exits_2(chip_file, selection_file, tmp_path, capsys):
-    out = tmp_path / "gen"
-    rc = cli.main(["generate", str(chip_file), str(selection_file), "--bits", str(10**20), "--out", str(out)])
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "raw bits" in err
-    assert not out.exists()
+    _assert_bits_rejected(["generate", str(chip_file), str(selection_file)], tmp_path / "gen", capsys)
 
 
 def test_pipeline_bits_beyond_u64_header_exits_2(config_file, tmp_path, capsys):
-    out = tmp_path / "pipe"
-    rc = cli.main([
-        "pipeline", "--config", str(config_file), "--seed", "7", "--bits", str(10**20), "--out", str(out),
-    ])
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "raw bits" in err
-    assert not out.exists()
+    _assert_bits_rejected(["pipeline", "--config", str(config_file), "--seed", "7"], tmp_path / "pipe", capsys)
 
 
 @pytest.mark.parametrize("command", ["generate", "throughput"])
@@ -417,7 +414,7 @@ def test_bitstream_longer_than_its_header_exits_2(tmp_path, capsys):
     """A 2,048-bit conditioned file whose header says 1,024 bits is rejected,
     not graded on its first 1,024 bits."""
     path = tmp_path / "conditioned.bits"
-    save_bitstream(Bitstream(np.random.default_rng(3).random(2048) < 0.5, kind="conditioned"), path)
+    path.write_bytes(bits_file(np.random.default_rng(3).random(2048) < 0.5))
     data = bytearray(path.read_bytes())
     struct.pack_into("<Q", data, 0, 1024)
     path.write_bytes(bytes(data))
@@ -456,11 +453,34 @@ def test_throughput_reference_estimate(chip_file, selection_file, capsys):
     assert "Mbit/s" in out
 
 
-def test_throughput_measured_mode(chip_file, selection_file, capsys):
-    assert cli.main(["throughput", str(chip_file), str(selection_file), "--measured"]) == 0
-    out = capsys.readouterr().out
-    assert "Mbit/s" in out
-    assert f"{cli.REFERENCE_T_RW_NS:.2f} ns" not in out
+@pytest.mark.parametrize("flags", [["--measured"], ["--tw", "2.5"], ["--temp", "20"], ["--field", "5"]])
+def test_throughput_rejects_removed_flags(chip_file, selection_file, capsys, flags):
+    """The rate model takes the reference part's times, so `throughput` has
+    no timing mode and no pulse width or environment to set."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["throughput", str(chip_file), str(selection_file), *flags])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "Mbit/s" not in capsys.readouterr().out
+
+
+# --- command-line surface ---------------------------------------------------
+
+SUBCOMMANDS = ("chip", "sweep", "characterize", "generate", "test", "throughput", "pipeline")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: mramtrng {command}" in capsys.readouterr().out
 
 
 # --- pipeline ---------------------------------------------------------------

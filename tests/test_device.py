@@ -1,5 +1,7 @@
 """Device-model behaviour: toggle semantics, environment response, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,6 @@ def test_environment_validation():
         Environment(temperature_c=85.0)
     with pytest.raises(ValueError):
         Environment(field_mt=-1.0)
-    with pytest.raises(ValueError):
-        Environment(field_axis="sideways")
-    for axis in ("+x", "-x", "+y", "-y", "+z", "-z"):
-        Environment(field_axis=axis)
 
 
 # --- chip creation ---------------------------------------------------------
@@ -100,7 +98,7 @@ def test_config_validation():
 def test_config_json_roundtrip(tmp_path):
     cfg = small_config(128)
     p = tmp_path / "cfg.json"
-    cfg.save(p)
+    p.write_text(json.dumps(cfg.to_dict(), indent=2), encoding="utf-8")
     again = ChipConfig.from_json_file(p)
     assert again == cfg
 
@@ -197,9 +195,8 @@ def test_subthreshold_field_is_exactly_inert(small_chip):
     t = TimingParams(2.5)
     p0 = failure_probability(small_chip, t, Environment(field_mt=0.0))
     for field in (0.5, 8.0, 10.0):
-        for axis in ("+x", "-y", "+z"):
-            p = failure_probability(small_chip, t, Environment(field_mt=field, field_axis=axis))
-            assert np.array_equal(p, p0)
+        p = failure_probability(small_chip, t, Environment(field_mt=field))
+        assert np.array_equal(p, p0)
     p_hi = failure_probability(small_chip, t, Environment(field_mt=12.0))
     assert not np.array_equal(p_hi, p0)
 

@@ -149,6 +149,8 @@ def test_edited_recipe_loads_or_exits_2(tmp_path):
         (("num_addresses",), True, "num_addresses must be an integer"),
         (("tau", "min_ns"), 1e6, "did not converge"),
         (("tau", "bit_sigma_ns"), 1e308, "overflow"),
+        (("tau", "components", 0, "mean_ns"), "0.9", "tau.components.mean_ns must be a number, got '0.9'"),
+        (("metastable", "bias_alpha"), True, "metastable.bias_alpha must be a number, got True"),
     ],
 )
 def test_hostile_recipe_exits_2(tmp_path, capsys, where, value, message):

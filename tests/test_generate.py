@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import first_cells
+from conftest import bits_file, first_cells
 from mramtrng import cli
 from mramtrng.device import Environment, TimingParams
 from mramtrng.extract import (
@@ -16,7 +16,6 @@ from mramtrng.extract import (
     load_bitstream,
     plan_harvest,
     required_rounds,
-    save_bitstream,
 )
 
 BITS = 5000  # 20 conditioned blocks, 10,240 raw bits needed
@@ -45,10 +44,8 @@ def test_chunked_output_equals_one_shot(small_chip, small_selection, tmp_path, c
 
     raw = harvest_rounds(plan_harvest(small_chip, sel, TimingParams(2.5), Environment()), rounds)
     conditioned = condition(raw)
-    save_bitstream(raw, tmp_path / "raw.bits")
-    save_bitstream(conditioned, tmp_path / "conditioned.bits")
-    assert runs[1]["raw.bits"] == (tmp_path / "raw.bits").read_bytes()
-    assert runs[1]["conditioned.bits"] == (tmp_path / "conditioned.bits").read_bytes()
+    assert runs[1]["raw.bits"] == bits_file(raw.bits)
+    assert runs[1]["conditioned.bits"] == bits_file(conditioned.bits)
     assert json.loads(runs[1]["provenance.json"]) == {
         "kind": "conditioned",
         "bits": len(conditioned),

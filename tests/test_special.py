@@ -5,6 +5,7 @@ the oracle is mpmath at 40 decimal digits (with scipy as a second witness).
 Agreement is required to at least 12 significant digits.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mramtrng.special import erf, erfc, igam, igamc, normal_cdf
 
@@ -112,6 +115,54 @@ def test_igam_igamc_finish_on_non_finite_arguments():
         "assert all(math.isnan(f(a, x)) for f in (igam, igamc) for a, x in args)\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+# the ends of each function's range
+ERF_RANGES = {erf: (-1.0, 1.0), erfc: (0.0, 2.0), normal_cdf: (0.0, 1.0)}
+EDGE_FLOATS = (math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+@settings(max_examples=500)
+@given(x=st.floats())
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=math.nan)
+@example(x=5e-324)
+@example(x=-5e-324)
+def test_erf_family_finishes_in_range_on_any_float(x):
+    """st.floats() draws NaN, both infinities and subnormals too."""
+    for f, (lo, hi) in ERF_RANGES.items():
+        v = f(x)
+        assert math.isnan(v) or lo <= v <= hi, (f.__name__, x, v)
+
+
+def _check_igam_pair(a, x):
+    for f in (igam, igamc):
+        if math.isfinite(a) and math.isfinite(x) and (a <= 0.0 or x < 0.0):
+            with pytest.raises(ValueError):
+                f(a, x)
+        else:
+            v = f(a, x)
+            assert math.isnan(v) or 0.0 <= v <= 1.0, (f.__name__, a, x, v)
+
+
+@settings(max_examples=500)
+@given(a=st.floats(), x=st.floats())
+def test_igam_igamc_finish_in_range_on_any_float(a, x):
+    """A finite a <= 0 or x < 0 is outside the domain and raises ValueError;
+    any other pair, NaN, infinities and subnormals included, returns NaN or
+    a probability."""
+    _check_igam_pair(a, x)
+
+
+def test_igam_igamc_edge_floats():
+    """Every pair of edge floats, and pairs that once broke the range or
+    raised: P above 1 at a tiny a, lgamma(a) overflowing, and the log of
+    the prefix rounding to a value whose exp overflows."""
+    edges = EDGE_FLOATS + (0.5, 1.0, 1e305, 1e308)
+    found = [(2.9143771906415855e-111, 1.0), (2.5599833278516387e305, 1.0), (1.3881018119587174e22,) * 2]
+    for a, x in [*itertools.product(edges, repeat=2), *found]:
+        _check_igam_pair(a, x)
 
 
 def test_normal_cdf():
