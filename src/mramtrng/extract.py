@@ -169,7 +169,7 @@ def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
             f"{path}: {what}: {n_bits} bits need {n_bytes} payload bytes, the file has {len(payload)}"
         )
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_bits)
-    return Bitstream(bits=bits.astype(bool), kind=kind)
+    return Bitstream(bits=bits.view(bool), kind=kind)
 
 
 def save_provenance(path: str | Path, kind: str, n_bits: int, provenance: dict) -> None:

@@ -7,7 +7,13 @@ uniformity check on the p-value distribution.  Sequences can also be exported
 as ASCII '0'/'1' files, the input format of the reference STS distribution,
 so the remaining tests of the full suite can be run externally.
 
-All tests are deterministic pure functions of the input bits.
+All tests are deterministic pure functions of the input bits.  ``run_all``
+does each sequence's shared work once: one wrapped template histogram, built
+at the wider of the serial and approximate-entropy widths and folded down
+for each, and one +-1 walk that gives both cumulative-sums excursions.  The
+cumulative-sums p-value skips the terms that are exactly 0.0 (both normal
+CDF arguments beyond +-40).  Every result equals the standalone test's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ def _coerce(seq) -> np.ndarray:
         return seq.bits
     if isinstance(seq, str):
         return BitSequence.from_string(seq).bits
-    arr = np.asarray(seq).astype(bool)
+    arr = np.asarray(seq).astype(bool, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d bit array")
     return arr
@@ -179,31 +185,64 @@ def longest_run(seq) -> TestResult:
     return TestResult("LongestRun", chi, p, p >= ALPHA)
 
 
-def cumulative_sums(seq, reverse: bool = False) -> TestResult:
-    """Maximal excursion of the +-1 random walk, forward or reversed."""
-    bits = _coerce(seq)
+# normal_cdf is exactly 1.0 above about 8.5 and exactly 0.0 below about
+# -37.7, so a cumulative-sums term whose two arguments both lie beyond this
+# bound on one side is a difference of two equal values: exactly 0.0
+_CDF_FLAT = 40.0
+
+
+def _excursions(bits: np.ndarray) -> tuple[int, int]:
+    """Maximal excursions (forward, reverse) of the +-1 walk, from one walk.
+
+    With the forward partial sums S_k (S_0 = 0), the forward excursion is
+    max |S_k| over k in [1, n], and the reversed walk's partial sums are
+    S_n - S_j for j in [0, n-1].
+    """
     n = bits.size
-    steps = np.where(bits[::-1] if reverse else bits, 1, -1)
-    z = int(np.max(np.abs(np.cumsum(steps))))
+    steps = np.multiply(bits.view(np.int8), 2, dtype=np.int8)
+    steps -= 1
+    walk = np.cumsum(steps, dtype=np.int32 if n < 2**31 else np.int64)
+    s_n = int(walk[-1])
+    lo, hi = int(walk[:-1].min(initial=0)), int(walk[:-1].max(initial=0))
+    return max(hi, -lo, abs(s_n)), max(s_n - lo, hi - s_n)
+
+
+def _cumulative_sums_result(n: int, z: int, reverse: bool) -> TestResult:
+    """Cumulative-sums result for maximal excursion z over n steps."""
     name = "CumulativeSumsRev" if reverse else "CumulativeSumsFwd"
     if z == 0:
         return TestResult(name, 0.0, 1.0, True)
     sqn = math.sqrt(n)
+    # a term with |k| > reach has both arguments beyond +-_CDF_FLAT on one
+    # side (with a margin of several z / sqn for rounding), so it is exactly
+    # 0.0; the remaining terms, summed in the same order, give the same float
+    reach = math.ceil(_CDF_FLAT * sqn / (4 * z)) + 1
+    k_last = min(reach, math.floor((n / z - 1) / 4))
     total = 1.0
-    for k in range(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1):
+    for k in range(max(-reach, math.floor((-n / z + 1) / 4)), k_last + 1):
         total -= normal_cdf((4 * k + 1) * z / sqn) - normal_cdf((4 * k - 1) * z / sqn)
-    for k in range(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1):
+    for k in range(max(-reach, math.floor((-n / z - 3) / 4)), k_last + 1):
         total += normal_cdf((4 * k + 3) * z / sqn) - normal_cdf((4 * k + 1) * z / sqn)
     p = min(1.0, max(0.0, total))
     return TestResult(name, float(z), p, p >= ALPHA)
 
 
+def cumulative_sums(seq, reverse: bool = False) -> TestResult:
+    """Maximal excursion of the +-1 random walk, forward or reversed."""
+    bits = _coerce(seq)
+    z_fwd, z_rev = _excursions(bits)
+    return _cumulative_sums_result(bits.size, z_rev if reverse else z_fwd, reverse)
+
+
 def _template_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Histogram of the n wrapped overlapping m-bit templates, by code."""
     n = bits.size
-    ext = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
-    codes = np.zeros(n, dtype=np.int64)
+    ext = np.concatenate([bits, bits[: m - 1]]).view(np.uint8)
+    # uint16 codes are exact up to m = 16 and move a quarter of the bytes
+    codes = np.zeros(n, dtype=np.uint16 if m <= 16 else np.int64)
     for j in range(m):
-        codes = (codes << 1) | ext[j : j + n]
+        codes <<= 1
+        codes |= ext[j : j + n]
     return np.bincount(codes, minlength=2**m)
 
 
@@ -214,26 +253,42 @@ def _fold_counts(counts: np.ndarray) -> np.ndarray:
     return counts[0::2] + counts[1::2]
 
 
+def _fold_to(counts: np.ndarray, m: int) -> np.ndarray:
+    """Fold a template histogram of m or more bits down to m bits."""
+    while counts.size > 2**m:
+        counts = _fold_counts(counts)
+    return counts
+
+
+def _check_template_fits(m: int, n: int) -> None:
+    if m >= n:
+        raise ValueError("template length m too large for the sequence")
+
+
+def _clamp_zero(x: float) -> float:
+    """x, or 0.0 where rounding took a statistic that is >= 0 below zero.
+
+    The reference STS's igamc returns 1.0 for x <= 0, and so does this
+    suite's at 0.0.
+    """
+    return 0.0 if x < 0.0 else x
+
+
 def _psi_sq(counts: np.ndarray, n: int) -> float:
     if counts.size == 1:  # m = 0
         return 0.0
     return (counts.size / n) * float(counts @ counts) - n
 
 
-def serial(seq, m: int = 8) -> tuple[TestResult, TestResult]:
-    """Frequencies of overlapping m-bit templates (wrapped); two p-values."""
-    bits = _coerce(seq)
-    if m < 2:
-        raise ValueError("serial test needs m >= 2")
-    if m >= bits.size:
-        raise ValueError("template length m too large for the sequence")
-    counts_m = _template_counts(bits, m)
+def _serial_results(counts: np.ndarray, n: int, m: int) -> tuple[TestResult, TestResult]:
+    """Both serial results from a template histogram of m or more bits."""
+    counts_m = _fold_to(counts, m)
     counts_1 = _fold_counts(counts_m)
-    psi_m = _psi_sq(counts_m, bits.size)
-    psi_1 = _psi_sq(counts_1, bits.size)
-    psi_2 = _psi_sq(_fold_counts(counts_1), bits.size)
-    d1 = psi_m - psi_1
-    d2 = psi_m - 2.0 * psi_1 + psi_2
+    psi_m = _psi_sq(counts_m, n)
+    psi_1 = _psi_sq(counts_1, n)
+    psi_2 = _psi_sq(_fold_counts(counts_1), n)
+    d1 = _clamp_zero(psi_m - psi_1)
+    d2 = _clamp_zero(psi_m - 2.0 * psi_1 + psi_2)
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
     p2 = igamc(2 ** (m - 3), d2 / 2.0)
     return (
@@ -242,9 +297,29 @@ def serial(seq, m: int = 8) -> tuple[TestResult, TestResult]:
     )
 
 
+def serial(seq, m: int = 8) -> tuple[TestResult, TestResult]:
+    """Frequencies of overlapping m-bit templates (wrapped); two p-values."""
+    bits = _coerce(seq)
+    if m < 2:
+        raise ValueError("serial test needs m >= 2")
+    _check_template_fits(m, bits.size)
+    return _serial_results(_template_counts(bits, m), bits.size, m)
+
+
 def _phi(counts: np.ndarray, n: int) -> float:
     c = counts[counts > 0] / n
     return float(np.sum(c * np.log(c)))
+
+
+def _apen_result(counts: np.ndarray, n: int, m: int) -> TestResult:
+    """ApEn(m) from a template histogram of m + 1 or more bits."""
+    counts_next = _fold_to(counts, m + 1)
+    apen = _phi(_fold_counts(counts_next), n) - _phi(counts_next, n)
+    # ApEn reaches ln 2 exactly (on a de Bruijn sequence, for one) and can
+    # round above it
+    chi = _clamp_zero(2.0 * n * (math.log(2.0) - apen))
+    p = igamc(2 ** (m - 1), chi / 2.0)
+    return TestResult("ApproximateEntropy", chi, p, p >= ALPHA)
 
 
 def approximate_entropy(seq, m: int = 8) -> TestResult:
@@ -252,13 +327,8 @@ def approximate_entropy(seq, m: int = 8) -> TestResult:
     bits = _coerce(seq)
     if m < 1:
         raise ValueError("approximate-entropy test needs m >= 1")
-    if m + 1 >= bits.size:
-        raise ValueError("template length m too large for the sequence")
-    counts_next = _template_counts(bits, m + 1)
-    apen = _phi(_fold_counts(counts_next), bits.size) - _phi(counts_next, bits.size)
-    chi = 2.0 * bits.size * (math.log(2.0) - apen)
-    p = igamc(2 ** (m - 1), chi / 2.0)
-    return TestResult("ApproximateEntropy", chi, p, p >= ALPHA)
+    _check_template_fits(m + 1, bits.size)
+    return _apen_result(_template_counts(bits, m + 1), bits.size, m)
 
 
 # --- battery ---------------------------------------------------------------
@@ -280,20 +350,29 @@ def default_apen_m(n: int) -> int:
 
 def run_all(seq) -> tuple[TestResult, ...]:
     """All nine subtest results for one sequence, in SUBTEST_NAMES order, at
-    ALPHA, with the template sizes of the default_*_m rules for its length."""
+    ALPHA, with the template sizes of the default_*_m rules for its length.
+
+    Serial and approximate entropy share one template histogram, and the
+    two cumulative sums one walk; each result equals the standalone test's.
+    """
     bits = _coerce(seq)
     n = bits.size
-    s1, s2 = serial(bits, default_serial_m(n))
+    serial_m, apen_m = default_serial_m(n), default_apen_m(n)
+    # the shared width is serial_m wherever serial_m >= n, so a short input
+    # fails here first with serial's error, as the standalone tests would
+    width = max(serial_m, apen_m + 1)
+    _check_template_fits(width, n)
+    z_fwd, z_rev = _excursions(bits)
+    counts = _template_counts(bits, width)
     return (
         frequency_monobit(bits),
         block_frequency(bits, default_block_m(n)),
         runs(bits),
         longest_run(bits),
-        cumulative_sums(bits, reverse=False),
-        cumulative_sums(bits, reverse=True),
-        s1,
-        s2,
-        approximate_entropy(bits, default_apen_m(n)),
+        _cumulative_sums_result(n, z_fwd, reverse=False),
+        _cumulative_sums_result(n, z_rev, reverse=True),
+        *_serial_results(counts, n, serial_m),
+        _apen_result(counts, n, apen_m),
     )
 
 

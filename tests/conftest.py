@@ -68,6 +68,27 @@ def bits_file(bits) -> bytes:
     return struct.pack("<Q", len(bits)) + np.packbits(bits).tobytes()
 
 
+def de_bruijn(order: int) -> np.ndarray:
+    """The binary de Bruijn sequence of ``order`` (2**order bits): read
+    cyclically, it holds every order-bit template exactly once."""
+    a = [0] * (2 * order)
+    seq = []
+
+    def extend(t: int, p: int) -> None:
+        if t > order:
+            if order % p == 0:
+                seq.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        if a[t - p] == 0:
+            a[t] = 1
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return np.array(seq, dtype=bool)
+
+
 def first_cells(sel, k):
     """``sel`` cut down to its first ``k`` selected cells."""
     mask = np.zeros_like(sel.mask)

@@ -2,11 +2,16 @@
 
 Everything here works on plain '0'/'1' strings with explicit loops and
 mpmath arithmetic, so it shares no code path with the package under test.
+The one exception is ``ref_cusum_p_float``: the plain double-precision
+cumulative-sums loop over the package's own ``normal_cdf``, the bitwise
+reference for the package's sum, which skips terms that are exactly zero.
 """
 
 import math
 
 import mpmath
+
+from mramtrng.special import normal_cdf
 
 mpmath.mp.dps = 40
 
@@ -91,16 +96,34 @@ def ref_longest_run(bits: str) -> tuple[float, float]:
     return chi, ref_igamc(k / 2.0, chi / 2.0)
 
 
-def ref_cusum(bits: str, reverse: bool = False) -> tuple[float, float]:
+def ref_excursion(bits: str, reverse: bool = False) -> int:
     steps = [1 if b == "1" else -1 for b in bits]
     if reverse:
         steps.reverse()
-    n = len(steps)
     s = 0
     z = 0
     for step in steps:
         s += step
         z = max(z, abs(s))
+    return z
+
+
+def ref_cusum_p_float(n: int, z: int) -> float:
+    """Cumulative-sums p-value of excursion z over n steps, every term summed."""
+    if z == 0:
+        return 1.0
+    sqn = math.sqrt(n)
+    total = 1.0
+    for k in range(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1):
+        total -= normal_cdf((4 * k + 1) * z / sqn) - normal_cdf((4 * k - 1) * z / sqn)
+    for k in range(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1):
+        total += normal_cdf((4 * k + 3) * z / sqn) - normal_cdf((4 * k + 1) * z / sqn)
+    return min(1.0, max(0.0, total))
+
+
+def ref_cusum(bits: str, reverse: bool = False) -> tuple[float, float]:
+    n = len(bits)
+    z = ref_excursion(bits, reverse)
     if z == 0:
         return 0.0, 1.0
     sqn = mpmath.sqrt(n)

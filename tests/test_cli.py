@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bits_file, small_config
+from conftest import bits_file, de_bruijn, small_config
 from mramtrng import characterize, cli
 from mramtrng.device import default_config, load_chip
 
@@ -433,6 +433,17 @@ def test_battery_failure_exits_4(tmp_path, capsys):
     rc = cli.main(["test", str(zeros), str(other)])
     assert rc == cli.EXIT_BATTERY_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_de_bruijn_stream_is_graded_not_rejected(tmp_path, capsys):
+    """A tiled order-10 de Bruijn sequence has ApEn = ln 2 exactly, and its
+    chi-squared rounds just below 0; the file is well formed, so it is
+    graded (pass or fail), never refused as a usage error."""
+    path = tmp_path / "db.bits"
+    path.write_bytes(bits_file(np.tile(de_bruijn(10), 1024)))
+    assert cli.main(["test", str(path)]) in (cli.EXIT_OK, cli.EXIT_BATTERY_FAIL)
+    captured = capsys.readouterr()
+    assert "battery verdict" in captured.out and captured.err == ""
 
 
 def test_battery_report_to_file(tmp_path, capsys):

@@ -1,13 +1,21 @@
 """Statistical-test oracle equivalence, worked examples and battery rules."""
 
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import reference as ref
+from conftest import de_bruijn
+from mramtrng import sts
+from mramtrng.special import normal_cdf
 from mramtrng.sts import (
     ALPHA,
+    _CDF_FLAT,
+    _cumulative_sums_result,
+    _excursions,
     _fold_counts,
     _longest_run_per_block,
     _template_counts,
@@ -110,8 +118,10 @@ def _longest_run_loop(blocks: np.ndarray) -> np.ndarray:
 
 
 def _bit_cases(n: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
     return {
-        "random": np.random.default_rng(seed).random(n) < 0.5,
+        "random": rng.random(n) < 0.5,
+        "biased": rng.random(n) < 0.45,
         "ones": np.ones(n, dtype=bool),
         "zeros": np.zeros(n, dtype=bool),
         "alternating": np.arange(n) % 2 == 0,
@@ -130,8 +140,9 @@ def test_longest_run_per_block_matches_loop(m):
 
 
 def test_folded_template_counts_are_exact():
+    # m + 1 = 17 builds int64 codes and folds onto the uint16 codes of m = 16
     for name, bits in _bit_cases(1000, 3).items():
-        for m in range(1, 11):
+        for m in (*range(1, 11), 15, 16):
             assert np.array_equal(_fold_counts(_template_counts(bits, m + 1)), _template_counts(bits, m)), (name, m)
 
 
@@ -162,6 +173,27 @@ def test_serial_errors():
         serial("0101", m=1)
     with pytest.raises(ValueError):
         serial("0101", m=4)
+
+
+def test_serial_difference_rounded_below_zero_is_zero():
+    # the psi-squared second difference of this sequence is 0 but rounds to
+    # -1.8e-15; the reference STS's igamc returns 1.0 at x <= 0
+    r1, r2 = serial("000000100111", m=3)
+    d1, p1, _, _ = ref.ref_serial("000000100111", 3)
+    assert abs(r1.statistic - d1) < 1e-12 and abs(r1.p_value - p1) < P_TOL
+    assert (r2.statistic, r2.p_value, r2.passed) == (0.0, 1.0, True)
+
+
+def test_approximate_entropy_is_one_on_de_bruijn_sequences():
+    # a tiled de Bruijn sequence holds every template of up to its order
+    # equally often, so ApEn is ln 2 exactly and can round above it
+    for order in range(5, 13):
+        for log_n in range(max(10, order), 21):
+            n = 1 << log_n
+            bits = np.tile(de_bruijn(order), n >> order)
+            m = min(order - 1, default_apen_m(n))
+            r = approximate_entropy(bits, m)
+            assert r.p_value == 1.0 and r.statistic >= 0.0, (order, n, m)
 
 
 def test_approximate_entropy_example():
@@ -198,6 +230,131 @@ def test_complement_symmetry():
         )
         for a, b in zip(serial(bits, 4), serial(comp, 4)):
             assert a.p_value == b.p_value
+
+
+# --- one histogram and one walk per sequence --------------------------------
+
+
+@pytest.fixture
+def memo_normal_cdf(monkeypatch):
+    """normal_cdf memoised for sts and the float reference alike: the same
+    values, each computed once, so the full reference loops stay cheap."""
+    memo = functools.lru_cache(maxsize=None)(normal_cdf)
+    monkeypatch.setattr(sts, "normal_cdf", memo)
+    monkeypatch.setattr(ref, "normal_cdf", memo)
+
+
+def test_normal_cdf_is_flat_beyond_the_clip():
+    for x in np.geomspace(_CDF_FLAT, 1e300, 400):
+        assert normal_cdf(float(x)) == 1.0 and normal_cdf(-float(x)) == 0.0
+
+
+def test_clipped_cusum_sum_is_the_full_loop_small_n(memo_normal_cdf):
+    for n in range(1, 200):
+        for z in range(n + 1):
+            assert _cumulative_sums_result(n, z, reverse=False).p_value == ref.ref_cusum_p_float(n, z), (n, z)
+
+
+@pytest.mark.parametrize("n", [100_000, 123_457, 1_000_000, 1 << 20])
+def test_clipped_cusum_sum_is_the_full_loop_large_n(n, memo_normal_cdf):
+    zs = {*np.geomspace(100, 8 * math.sqrt(n), 25).astype(int).tolist(), n - 1, n}
+    if n < 200_000:
+        # the full loop at z <= 3 calls normal_cdf ~n times per z: seconds at
+        # 1 Mbit, so the two shorter lengths carry these cases
+        zs |= {1, 2, 3}
+    for z in sorted(zs):
+        assert _cumulative_sums_result(n, z, reverse=True).p_value == ref.ref_cusum_p_float(n, z), (n, z)
+
+
+def test_one_walk_gives_both_literal_excursions():
+    rng = np.random.default_rng(21)
+    cases = [np.array(list(s), dtype=int).astype(bool) for s in ("0", "1", "00", "01", "10", "11")]
+    for n in (1, 2, 3, 100, 101):
+        cases += list(_bit_cases(n, n).values())
+    cases += [rng.random(n) < rng.uniform(0.2, 0.8) for n in range(1, 65)] + [rng.random(1000) < 0.5]
+    for bits in cases:
+        s = _bitstring(bits)
+        assert _excursions(bits) == (ref.ref_excursion(s), ref.ref_excursion(s, reverse=True)), s
+
+
+def test_cumulative_sums_evaluates_few_normal_cdf_terms(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return normal_cdf(x)
+
+    monkeypatch.setattr(sts, "normal_cdf", counted)
+    bits = np.random.default_rng(31).random(1 << 20) < 0.5
+    for reverse in (False, True):
+        calls.clear()
+        cumulative_sums(bits, reverse=reverse)
+        assert 0 < len(calls) <= 200
+
+
+def test_run_all_builds_one_template_histogram_per_sequence(monkeypatch):
+    calls = []
+
+    def counted(bits, m):
+        calls.append(m)
+        return _template_counts(bits, m)
+
+    monkeypatch.setattr(sts, "_template_counts", counted)
+    rng = np.random.default_rng(41)
+    run_all(rng.random(1000) < 0.5)
+    assert calls == [6]
+    calls.clear()
+    run_battery([rng.random(20_000) < 0.5 for _ in range(3)])
+    assert calls == [9, 9, 9]
+
+
+def _standalone(bits) -> tuple:
+    """run_all composed of the public tests, called in the order in which a
+    short input's error surfaces."""
+    n = bits.size
+    s1, s2 = serial(bits, default_serial_m(n))
+    return (
+        frequency_monobit(bits),
+        block_frequency(bits, default_block_m(n)),
+        runs(bits),
+        longest_run(bits),
+        cumulative_sums(bits, reverse=False),
+        cumulative_sums(bits, reverse=True),
+        s1,
+        s2,
+        approximate_entropy(bits, default_apen_m(n)),
+    )
+
+
+@pytest.mark.parametrize("n", [128, 1000, 6272, 16_384, 100_000, 1 << 20])
+def test_run_all_equals_the_standalone_tests(n):
+    # at n = 1000 the serial width (6) differs from apen_m + 1 (4)
+    for kind, bits in _bit_cases(n, n).items():
+        assert repr(run_all(bits)) == repr(_standalone(bits)), kind
+
+
+def _outcome(f, bits):
+    try:
+        return repr(f(bits))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_run_all_short_inputs_raise_as_the_standalone_tests():
+    for n in range(1, 131):
+        for kind, bits in _bit_cases(n, n).items():
+            assert _outcome(run_all, bits) == _outcome(_standalone, bits), (n, kind)
+    assert _outcome(run_all, np.ones(2, dtype=bool)).endswith("template length m too large for the sequence")
+    assert _outcome(run_all, np.ones(19, dtype=bool)).endswith("sequence shorter than one block")
+    assert _outcome(run_all, np.ones(127, dtype=bool)).endswith("longest-run test needs at least 128 bits")
+
+
+def test_run_all_golden_digest():
+    # pinned from the battery before the shared histogram and walk: a change
+    # that moves any statistic or p-value by one ulp changes the digest
+    bits = np.random.default_rng(2024).integers(0, 2, 1 << 20, dtype=np.uint8).astype(bool)
+    digest = hashlib.sha256(repr(run_all(bits)).encode()).hexdigest()
+    assert digest == "fc0436ea80270f42dcf0173a995a8ea35230aad361c7f1eb57f86d56b0d296cb"
 
 
 # --- brute-force oracle equivalence ----------------------------------------
