@@ -43,6 +43,7 @@ from .device import (
     ChipModel,
     Environment,
     TimingParams,
+    _forked,
     create_chip,
     default_config,
     fold_campaigns,
@@ -90,9 +91,10 @@ MAX_BITS = 10**8
 # conditioned bits produced by `pipeline` are graded in slices this long
 PIPELINE_STREAM_BITS = 100_000
 
-# raw bits harvested per chunk by `generate` and `pipeline` (about 2 Mbit:
-# 259 rounds of 8,082 cells); the chunk's bool rows and packed bytes are
-# what generation holds in memory, whatever the number of bits asked for
+# raw bits per harvest unit of `generate` and `pipeline` (about 2 Mbit: 259
+# rounds of 8,082 cells), a whole number of 512-bit blocks; a unit's bool rows
+# and packed bytes are what each process holds, whatever the bits asked for,
+# and the 1 Mbit default is one unit, so it forks no harvest worker
 HARVEST_CHUNK_BITS = 1 << 21
 
 
@@ -256,35 +258,49 @@ def _generate_into(
     bits: int,
     env: Environment,
     *,
-    chunk_rounds: int | None = None,
+    unit_bits: int | None = None,
 ) -> tuple[int, int, int]:
     """Harvest, condition and write raw.bits, conditioned.bits and
-    provenance.json into ``out``, a chunk of rounds at a time, so memory
-    does not grow with ``bits``; returns (rounds, raw bits, conditioned bits).
+    provenance.json into ``out``; returns (rounds, raw bits, conditioned bits).
 
-    Raw bits short of a whole block carry over into the next chunk; the
-    last partial block is written to raw.bits and not conditioned.
+    The raw stream is cut into units of ``unit_bits`` raw bits, a whole
+    number of B_LEN-bit blocks (by default HARVEST_CHUNK_BITS, or more when
+    one round has more cells), and the units are shared between processes
+    (device._forked).  A unit draws the rounds it overlaps, keeps its own
+    bits, and hashes its whole blocks; only the last unit can end in a
+    partial byte or block, which goes to raw.bits and is not conditioned.
+    The files are the same bytes for any unit size and process count.
     """
-    rounds = required_rounds(bits, sel.num_randcell)
-    raw_bits = rounds * sel.num_randcell
+    cells = sel.num_randcell
+    rounds = required_rounds(bits, cells)
+    raw_bits = rounds * cells
     cond_bits = raw_bits // B_LEN * D_LEN
-    if chunk_rounds is None:
-        chunk_rounds = max(1, HARVEST_CHUNK_BITS // sel.num_randcell)
+    if unit_bits is None:
+        unit_bits = max(HARVEST_CHUNK_BITS, -(-cells // B_LEN) * B_LEN)
     plan = plan_harvest(chip, sel, timing, env)
-    carry = np.empty(0, dtype=bool)
-    with open_bitstream(out / "raw.bits", raw_bits) as raw_fh, open_bitstream(
-        out / "conditioned.bits", cond_bits
-    ) as cond_fh:
-        for start in range(0, rounds, chunk_rounds):
-            chunk = harvest_rounds(plan, min(chunk_rounds, rounds - start), start_round=start)
-            # no copy of the chunk while nothing is carried (one-chunk runs)
-            pending = np.concatenate([carry, chunk.bits]) if carry.size else chunk.bits
-            whole = len(pending) - len(pending) % B_LEN
-            packed = np.packbits(pending[:whole]).tobytes()
+
+    def span(u: int) -> tuple[int, int]:
+        return u * unit_bits, min((u + 1) * unit_bits, raw_bits)
+
+    def harvest_unit(u: int) -> list:
+        lo, hi = span(u)
+        first = lo // cells
+        drawn = harvest_rounds(plan, -(-hi // cells) - first, start_round=first)
+        packed = np.packbits(drawn.bits[lo - first * cells : hi - first * cells])
+        return [packed, digest_blocks(packed)]
+
+    def unit_buffers(u: int) -> list[np.ndarray]:
+        lo, hi = span(u)
+        return [np.empty(-(-(hi - lo) // 8), np.uint8), np.empty((hi - lo) // B_LEN * D_LEN // 8, np.uint8)]
+
+    units = range(-(-raw_bits // unit_bits))
+    # fork first: a worker must not inherit the files' buffered writers
+    with _forked(units, harvest_unit, unit_buffers) as results, open_bitstream(
+        out / "raw.bits", raw_bits
+    ) as raw_fh, open_bitstream(out / "conditioned.bits", cond_bits) as cond_fh:
+        for packed, digests in results:
             raw_fh.write(packed)
-            cond_fh.write(digest_blocks(packed))
-            carry = pending[whole:].copy()  # a view would keep the whole chunk alive
-        raw_fh.write(np.packbits(carry).tobytes())
+            cond_fh.write(digests)
     prov = conditioned_provenance(dict(plan.provenance, rounds=rounds), raw_bits)
     save_provenance(out / "provenance.json", "conditioned", cond_bits, prov)
     return rounds, raw_bits, cond_bits
@@ -383,14 +399,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    seqs = []
-    for path in args.streams:
-        p = Path(path)
-        if p.suffix in (".bits", ".bin"):
-            seqs.append(load_bitstream(p, kind="raw").bits)
-        else:
-            seqs.append(import_sts(p).bits)
-    summary, body = _battery_report(seqs, _format(args))
+    fmt = _format(args)
+    # loaded as the battery reaches them, so one stream is in memory at a time
+    seqs = (
+        load_bitstream(p).bits if p.suffix in (".bits", ".bin") else import_sts(p).bits
+        for p in map(Path, args.streams)
+    )
+    summary, body = _battery_report(seqs, fmt)
     out = _opt(args, "out", str)
     if out is not None:
         Path(out).write_text(body, encoding="utf-8")
@@ -504,8 +519,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(
             "--bits",
             type=int,
-            help=f"conditioned bits to produce (default 1000000, at most {MAX_BITS}; pipeline --seed 7 "
-            f"--bits {MAX_BITS} took 16 s and 314 MB of memory on 2 CPUs)",
+            help=f"conditioned bits to produce (default 1000000, at most {MAX_BITS}; on 2 CPUs, --bits "
+            f"{MAX_BITS} took 2.1-2.6 s and 73 MB of memory in generate, 6.0-6.3 s and 218 MB in "
+            f"pipeline --seed 7)",
         )
     if "out" in names:
         p.add_argument("--out", help="output file or directory")

@@ -30,10 +30,12 @@ any order, with bit-identical results.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import struct
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +70,13 @@ _STREAM_VALUE = 2
 # draws stay in the CPU caches through all of the block's rounds instead of
 # streaming from memory every round (32K and 64K ran fastest on a 2 MB L2)
 _FOLD_BLOCK = 1 << 15
+
+# pipe buffer of a _forked worker, the default pipe-max-size of Linux: it
+# holds a whole job's result (a harvest unit's 384 KB, a fold block's 290 KB),
+# so a worker runs on instead of handing it over 64 KB at a time.  On 2 vCPU
+# with one CPU kept busy, `generate` of 32 Mbit took 1.29-1.38 s with it and
+# 1.33-2.00 s with the 64 KB default
+_PIPE_BYTES = 1 << 20
 
 # uint64 words per draw buffer of _readout_rows: a batch of rounds x cells
 # stays in the CPU caches through its three draws and its decision (at the
@@ -709,16 +718,104 @@ class CampaignFold:
         return self.errors / (self.n_measurements * self.num_cells)
 
 
-def _fold_workers(blocks: int) -> int:
-    """Processes that share a fold of ``blocks`` blocks: one per usable CPU
-    and at most one per block; only the calling one without os.fork."""
+def _workers(jobs: int) -> int:
+    """Processes that share ``jobs`` jobs: one per usable CPU and at most one
+    per job; only the calling one without os.fork."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks))
+    return max(1, min(cpus, jobs))
+
+
+def _pipe() -> tuple[int, int]:
+    """os.pipe(), with its buffer grown to _PIPE_BYTES where the platform
+    allows it."""
+    r, w = os.pipe()
+    import fcntl  # here: only a call that forks needs it
+
+    with contextlib.suppress(AttributeError, OSError):  # not Linux, or above the host's pipe-max-size
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    return r, w
+
+
+@contextlib.contextmanager
+def _forked(jobs: Sequence, run: Callable, buffers: Callable):
+    """Runs ``run(job)`` for every job across W = _workers(len(jobs))
+    processes and yields an iterator over the jobs' results, in job order.
+
+    ``run(job)`` returns the job's result as a list of buffers; job i runs
+    in process i mod W.  Process 0 is this one, which runs its jobs as the
+    iterator reaches them; each of W - 1 forked workers runs its jobs in
+    order and writes their buffers into a pipe, which this process reads
+    into ``buffers(job)``, empty arrays of the same sizes.  A worker runs
+    ahead of the reader only as far as its pipe's buffer (_PIPE_BYTES)
+    holds, so memory stays bounded.  Where os.fork fails, this process runs
+    that worker's jobs itself.
+
+    A worker leaves only through os._exit.  Short data or a non-zero exit
+    raises ChildProcessError; the workers are killed if the caller raises,
+    and always reaped.  Fork before opening any buffered writer: a worker
+    would hold a copy of its buffer.
+    """
+    workers = _workers(len(jobs))
+    children = {}  # process index -> (pid, read end of its pipe)
+
+    def results():
+        for k, job in enumerate(jobs):
+            if k % workers not in children:
+                yield run(job)
+                continue
+            pid, src = children[k % workers]
+            parts = buffers(job)
+            for buf in parts:
+                if src.readinto(buf) != buf.nbytes:
+                    raise ChildProcessError(f"worker {pid} sent short data")
+            yield parts
+
+    try:
+        for i in range(1, workers):
+            r, w = _pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one runs the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                # the worker runs only its jobs and the pipe writes, and
+                # leaves through os._exit: no return into the caller, no
+                # stdio flush, no atexit handlers
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        for job in jobs[i::workers]:
+                            for part in run(job):
+                                out.write(part)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[i] = (pid, open(r, "rb"))
+        yield results()
+    except BaseException:
+        # imported here: at the top it would add about 1 ms and 0.1 MB to
+        # every CLI call for a path that runs only on failure
+        import signal
+
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, src in children.values():
+            src.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(codes):
+        raise ChildProcessError(f"worker exit codes {codes}")
 
 
 def fold_campaigns(
@@ -732,13 +829,12 @@ def fold_campaigns(
     all timings.
 
     The array is processed in blocks of _FOLD_BLOCK cells, all rounds of a
-    block at a time.  With W = _fold_workers(blocks) > 1, W - 1 forked
-    workers fold every W-th block each and send their error counts and
-    their blocks' slices back over a pipe, while this process folds the
-    rest.  A block writes only its own slices and the counts are integer
-    sums, so the result does not depend on W.  Where os.fork fails, this
-    process folds the blocks it could not hand out.  Like measure, it
-    leaves the chip holding the final round's readout of the last timing.
+    block at a time, and the blocks are shared between processes by
+    _forked: a worker sends each block's error counts and slices back,
+    which this process reads into its own arrays.  A block writes only its
+    own slices and the counts are integer sums, so the result does not
+    depend on the number of processes.  Like measure, it leaves the chip
+    holding the final round's readout of the last timing.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n}")
@@ -778,61 +874,14 @@ def fold_campaigns(
         cells = slice(lo, lo + _FOLD_BLOCK)
         return [*flips[:, cells], *first[:, cells], stored[cells]]
 
-    los = range(0, m, _FOLD_BLOCK)
-    workers = _fold_workers(len(los))
     errors = np.zeros(widths, dtype=np.int64)
-    children = []  # (pid, read end of its pipe, its blocks)
-    try:
-        for i in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one folds the rest
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                # the worker runs only its blocks and the pipe writes, and
-                # leaves through os._exit: no return into the caller, no
-                # stdio flush, no atexit handlers
-                status = 1
-                try:
-                    os.close(r)
-                    with open(w, "wb") as out:
-                        out.write(sum(map(fold_block, los[i::workers]), np.zeros(widths, dtype=np.int64)))
-                        for lo in los[i::workers]:
-                            for part in block_slices(lo):
-                                out.write(part)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, open(r, "rb"), los[i::workers]))
-        # this process's share, and the shares of workers it could not fork
-        for i in (0, *range(len(children) + 1, workers)):
-            for lo in los[i::workers]:
-                errors += fold_block(lo)
-        for pid, src, share in children:
-            sent = np.empty(widths, dtype=np.int64)
-            for buf in (sent, *(part for lo in share for part in block_slices(lo))):
-                if src.readinto(buf) != buf.nbytes:
-                    raise ChildProcessError(f"fold worker {pid} sent short data")
-            errors += sent
-    except BaseException:
-        # imported here: at the top it would add about 1 ms and 0.1 MB to
-        # every CLI call for a path that runs only on failure
-        import signal
-
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = []
-        for pid, src, _ in children:
-            src.close()
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    if any(codes):
-        raise ChildProcessError(f"fold worker exit codes {codes}")
+    with _forked(
+        range(0, m, _FOLD_BLOCK),
+        lambda lo: [fold_block(lo), *block_slices(lo)],
+        lambda lo: [np.empty(widths, dtype=np.int64), *block_slices(lo)],
+    ) as results:
+        for block_errors, *_ in results:
+            errors += block_errors
     chip.stored = stored
     return [
         CampaignFold(

@@ -68,10 +68,10 @@ def required_rounds(target_bits: int, num_randcell: int) -> int:
 
 @dataclass(frozen=True)
 class HarvestPlan:
-    """What every chunk of one harvest shares, computed once per run: the
+    """What every unit of one harvest shares, computed once per run: the
     readout set-up of the selected cells (their indices, keys and draw
     thresholds) and the provenance (its ``rounds`` and
-    ``start_round`` are set per chunk)."""
+    ``start_round`` are set per harvest_rounds call)."""
 
     readout: _Readout
     provenance: dict

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -462,15 +462,24 @@ class BatterySummary:
         return "\n".join(rows) + "\n"
 
 
-def run_battery(seqs: Sequence | Iterable) -> BatterySummary:
-    """Run the nine subtests over every sequence and apply both pass rules."""
-    arrays = [_coerce(s) for s in seqs]
-    if not arrays:
+def run_battery(seqs: Iterable) -> BatterySummary:
+    """Run the nine subtests over every sequence and apply both pass rules.
+
+    ``seqs`` is consumed once, one sequence at a time: each is graded and
+    dropped before the next is taken, so a generator that loads sequences
+    holds only one of them in memory.
+    """
+    per_seq, n = [], None
+    for seq in seqs:
+        bits = _coerce(seq)
+        if n is None:
+            n = bits.size
+        elif bits.size != n:
+            raise ValueError("all sequences must have the same length")
+        per_seq.append(run_all(bits))
+        del seq, bits  # not alive while the next sequence loads
+    if not per_seq:
         raise ValueError("need at least one sequence")
-    n = arrays[0].size
-    if any(a.size != n for a in arrays):
-        raise ValueError("all sequences must have the same length")
-    per_seq = [run_all(a) for a in arrays]
     subtests = []
     for idx, name in enumerate(SUBTEST_NAMES):
         p = np.array([results[idx].p_value for results in per_seq])
@@ -480,12 +489,12 @@ def run_battery(seqs: Sequence | Iterable) -> BatterySummary:
                 name=name,
                 p_values=p,
                 n_passed=passed,
-                min_pass=min_pass_count(len(arrays)),
+                min_pass=min_pass_count(len(per_seq)),
                 uniformity_p=uniformity_p_value(p),
             )
         )
     return BatterySummary(
-        n_sequences=len(arrays),
+        n_sequences=len(per_seq),
         sequence_length=n,
         subtests=tuple(subtests),
     )

@@ -1,6 +1,7 @@
 """Shared fixtures: a small chip specimen so most tests stay fast."""
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -113,3 +114,12 @@ def small_selection(small_chip):
 @pytest.fixture()
 def fresh_small_chip():
     return create_chip(small_config(), seed=7)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not
+    reaped: after it, this process must have no child at all."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

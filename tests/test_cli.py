@@ -425,6 +425,19 @@ def test_bitstream_longer_than_its_header_exits_2(tmp_path, capsys):
     assert len(err) == 1 and str(path) in err[0] and "longer than its header says" in err[0]
 
 
+def test_bad_later_stream_exits_2_with_no_report(tmp_path, capsys):
+    """Streams are graded as they load; a malformed second file still ends
+    the run with exit 2 and writes no report."""
+    good, bad = tmp_path / "good.bits", tmp_path / "bad.bits"
+    good.write_bytes(bits_file(np.random.default_rng(4).random(2048) < 0.5))
+    bad.write_bytes(good.read_bytes()[:-1])
+    report = tmp_path / "report.txt"
+    assert cli.main(["test", str(good), str(bad), "--out", str(report)]) == cli.EXIT_USAGE
+    assert not report.exists()
+    captured = capsys.readouterr()
+    assert "battery" not in captured.out and "truncated bitstream file" in captured.err
+
+
 def test_battery_failure_exits_4(tmp_path, capsys):
     zeros = tmp_path / "zeros.txt"
     zeros.write_text("0" * 20000)

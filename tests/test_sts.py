@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -535,6 +536,25 @@ def test_battery_input_validation():
     rng = np.random.default_rng(61)
     with pytest.raises(ValueError, match="same length"):
         run_battery([rng.random(256) < 0.5, rng.random(300) < 0.5])
+
+
+def test_battery_holds_one_sequence_at_a_time():
+    """run_battery takes the next sequence only after it has dropped the
+    last one, and grades a generator as it grades the same list."""
+    rng = np.random.default_rng(63)
+    streams = [rng.random(2000) < 0.5 for _ in range(4)]
+    alive = []
+
+    def loaded():
+        for s in streams:
+            assert not any(ref() is not None for ref in alive)
+            bits = s.copy()
+            alive.append(weakref.ref(bits))
+            yield bits
+            del bits
+
+    assert run_battery(loaded()).report() == run_battery(streams).report()
+    assert len(alive) == len(streams)
 
 
 def test_battery_report_and_csv():
