@@ -520,7 +520,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             "--bits",
             type=int,
             help=f"conditioned bits to produce (default 1000000, at most {MAX_BITS}; on 2 CPUs, --bits "
-            f"{MAX_BITS} took 2.1-2.6 s and 73 MB of memory in generate, 6.0-6.3 s and 218 MB in "
+            f"{MAX_BITS} took 2.1-2.6 s and 72 MB of memory in generate, 6.0-6.3 s and 218 MB in "
             f"pipeline --seed 7)",
         )
     if "out" in names:

@@ -25,7 +25,9 @@ the threshold the field starts to assist switching at a fixed rate.
 All stochastic write outcomes come from a counter-based generator keyed
 by (chip seed, cell index, round index), so a measurement campaign is a
 pure function of its arguments and can be evaluated per cell subset, in
-any order, with bit-identical results.
+any order, with bit-identical results.  Since every cycle starts from the
+reset, what a cell held before never enters a draw: a ChipModel holds no
+stored bits and is an immutable value, which no campaign changes.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _STREAM_VALUE = 2
 _FOLD_BLOCK = 1 << 15
 
 # pipe buffer of a _forked worker, the default pipe-max-size of Linux: it
-# holds a whole job's result (a harvest unit's 384 KB, a fold block's 290 KB),
+# holds a whole job's result (a harvest unit's 384 KiB, a fold block's 256 KiB),
 # so a worker runs on instead of handing it over 64 KB at a time.  On 2 vCPU
 # with one CPU kept busy, `generate` of 32 Mbit took 1.29-1.38 s with it and
 # 1.33-2.00 s with the 64 KB default
@@ -114,9 +116,10 @@ class Environment:
             raise ValueError(f"field magnitude must be finite and >= 0, got {self.field_mt}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellParams:
-    """Per-cell device parameters (struct of arrays, one entry per cell)."""
+    """Per-cell device parameters (struct of arrays, one entry per cell),
+    read-only: a kernel that writes into a chip raises."""
 
     tau_ns: np.ndarray
     steepness: np.ndarray
@@ -137,6 +140,8 @@ class CellParams:
             arr = getattr(self, name)
             if np.any(arr < 0) or np.any(arr > 1):
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("tau_ns", "steepness", "metastable_frac", "metastable_bias"):
+            getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.tau_ns)
@@ -394,40 +399,32 @@ def default_config() -> ChipConfig:
     return ChipConfig.from_dict(json.loads(text))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChipModel:
-    """A realized chip: sampled cell population plus stored state."""
+    """A realized chip: its sampled cell population, environmental response
+    and the seed of its write draws.  A value: campaigns read it, and none
+    changes it."""
 
     chip_id: str
     num_addresses: int
     cells: CellParams
-    stored: np.ndarray
     env_coeffs: EnvCoeffs
     seed: int
 
     def __post_init__(self):
         if len(self.cells) != self.num_addresses * WORD_WIDTH:
             raise ValueError("cell parameter arrays do not match the address count")
-        if self.stored.shape != (len(self.cells),):
-            raise ValueError("stored-state array does not match the cell count")
-        self._rng = CounterRng(self.seed)
-        self._cell_keys = None
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in uint64, got {self.seed}")
 
     @property
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def cell_keys(self, cell_indices: np.ndarray | None = None) -> np.ndarray:
-        """Counter-RNG base keys; the full-array keys are cached."""
-        if cell_indices is None:
-            if self._cell_keys is None:
-                self._cell_keys = self._rng.cell_keys(np.arange(self.num_cells))
-            return self._cell_keys
-        return self._rng.cell_keys(cell_indices)
-
     @property
     def rng(self) -> CounterRng:
-        return self._rng
+        """The counter-based generator of the chip's write draws."""
+        return CounterRng(self.seed)
 
 
 def create_chip(config: ChipConfig, seed: int) -> ChipModel:
@@ -442,7 +439,6 @@ def create_chip(config: ChipConfig, seed: int) -> ChipModel:
         chip_id=config.chip_id,
         num_addresses=config.num_addresses,
         cells=cells,
-        stored=np.ones(config.num_cells, dtype=bool),
         env_coeffs=config.env,
         seed=int(seed),
     )
@@ -564,8 +560,9 @@ def _thresholds(chip: ChipModel, timings, env: Environment, cells) -> tuple[np.n
 
 def _round_keys(chip: ChipModel, rounds: np.ndarray) -> np.ndarray:
     """(rounds, 3) keys of the toggle, meta and value draws of each round."""
+    rng = chip.rng
     streams = (_STREAM_TOGGLE, _STREAM_META, _STREAM_VALUE)
-    return np.stack([chip.rng.round_keys(rounds, s) for s in streams], axis=1)
+    return np.stack([rng.round_keys(rounds, s) for s in streams], axis=1)
 
 
 def _write_errors(keys: np.ndarray, thresholds: tuple[np.ndarray, ...], round_keys: np.ndarray) -> np.ndarray:
@@ -591,12 +588,10 @@ def _write_errors(keys: np.ndarray, thresholds: tuple[np.ndarray, ...], round_ke
 
 @dataclass(frozen=True)
 class _Readout:
-    """The per-run set-up of a campaign over fixed cells (an index array, or
-    a slice for the whole array) at one pulse width: their keys and draw
-    thresholds."""
+    """The per-run set-up of a campaign over fixed cells at one pulse width:
+    their keys and draw thresholds."""
 
     chip: ChipModel
-    cells: np.ndarray | slice
     keys: np.ndarray
     fail: np.ndarray
     meta: np.ndarray
@@ -607,17 +602,16 @@ def _plan_readout(
     chip: ChipModel, timing: TimingParams, env: Environment, cell_indices: np.ndarray | None = None
 ) -> _Readout:
     if cell_indices is None:
-        cells, keys = slice(None), chip.cell_keys()
+        cells, indices = slice(None), np.arange(chip.num_cells)
     else:
-        cells = np.asarray(cell_indices)
-        keys = chip.cell_keys(cells)
+        cells = indices = np.asarray(cell_indices)
     (fail,), _, meta, bias = _thresholds(chip, (timing,), env, cells)
-    return _Readout(chip, cells, keys, fail, meta, bias)
+    return _Readout(chip, chip.rng.cell_keys(indices), fail, meta, bias)
 
 
 def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
     """(rounds, cells) readouts of the planned cells in rounds ``start_round``
-    onwards; leaves the chip's planned cells holding the last round's readout.
+    onwards, a pure function of the plan and the rounds.
 
     Unlike _write_errors, which draws the meta and value words only for the
     cells whose toggle fails, this draws all three words of every cell, for
@@ -645,7 +639,6 @@ def _readout_rows(plan: _Readout, rounds: int, start_round: int) -> np.ndarray:
         np.less(draw_rows(plan.keys, rk[:, 2], w, s), plan.bias, out=one)
         keep |= one
         failed &= keep
-    plan.chip.stored[plan.cells] = rows[-1]
     return rows
 
 
@@ -685,8 +678,9 @@ def measure(
 
     With ``cell_indices`` the campaign is evaluated only for that subset;
     the counter-based RNG guarantees the result equals the corresponding
-    columns of a full-array campaign.  The chip is left in the state the
-    final cycle wrote (matching what the hardware would hold afterwards).
+    columns of a full-array campaign.  Every cycle starts from the all-ones
+    reset, so no cycle depends on what an earlier one wrote, and the chip is
+    left as it was.
     """
     plan = _plan_readout(chip, timing, env or Environment(), cell_indices)
     return MeasurementMatrix(bits=_readout_rows(plan, n, start_round), t_w_ns=timing.t_w_ns)
@@ -831,10 +825,10 @@ def fold_campaigns(
     The array is processed in blocks of _FOLD_BLOCK cells, all rounds of a
     block at a time, and the blocks are shared between processes by
     _forked: a worker sends each block's error counts and slices back,
-    which this process reads into its own arrays.  A block writes only its
-    own slices and the counts are integer sums, so the result does not
-    depend on the number of processes.  Like measure, it leaves the chip
-    holding the final round's readout of the last timing.
+    which this process reads into its own arrays.  A block derives its own
+    keys and writes only its own slices, and the counts are integer sums,
+    so the result does not depend on the number of processes.  Like
+    measure, it leaves the chip as it was.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n}")
@@ -843,18 +837,16 @@ def fold_campaigns(
         raise ValueError("need at least one pulse width")
     env = env or Environment()
 
-    all_keys = chip.cell_keys()
     widths, m = len(timings), chip.num_cells
     flips = np.zeros((widths, m), dtype=np.min_scalar_type(n - 1))
     first = np.empty((widths, m), dtype=bool)
-    stored = np.empty(m, dtype=bool)
     round_keys = _round_keys(chip, np.arange(n))
 
     def fold_block(lo: int) -> np.ndarray:
-        """Folds the block at ``lo`` into its slices of flips, first and
-        stored; returns its error count per width."""
+        """Folds the block at ``lo`` into its slices of flips and first;
+        returns its error count per width."""
         cells = slice(lo, lo + _FOLD_BLOCK)
-        keys = all_keys[cells]
+        keys = chip.rng.cell_keys(np.arange(lo, min(lo + _FOLD_BLOCK, m)))
         thresholds = _thresholds(chip, timings, env, cells)
         block_flips = flips[:, cells]
         errors = np.zeros(widths, dtype=np.int64)
@@ -866,13 +858,12 @@ def fold_campaigns(
             prev ^= cur
             block_flips += prev
             prev = cur
-        stored[cells] = prev[-1]
         return errors
 
     def block_slices(lo: int) -> list[np.ndarray]:
         """The contiguous slices that fold_block(lo) writes."""
         cells = slice(lo, lo + _FOLD_BLOCK)
-        return [*flips[:, cells], *first[:, cells], stored[cells]]
+        return [*flips[:, cells], *first[:, cells]]
 
     errors = np.zeros(widths, dtype=np.int64)
     with _forked(
@@ -882,7 +873,6 @@ def fold_campaigns(
     ) as results:
         for block_errors, *_ in results:
             errors += block_errors
-    chip.stored = stored
     return [
         CampaignFold(
             t_w_ns=t.t_w_ns,
@@ -898,7 +888,10 @@ def fold_campaigns(
 # ---------------------------------------------------------------------------
 # chip file format: magic 'MRTG', u16 version, then the ChipModel fields in
 # declaration order, with the u16 word width (always 16) after the address
-# count, little-endian; arrays as raw f64, stored bits packed.
+# count, little-endian; arrays as raw f64.  Between the cell arrays and the
+# environment coefficients, one bit per cell is reserved for stored bits: a
+# chip holds none, so save_chip writes the all-ones reset that every
+# campaign starts from (0xFF bytes) and load_chip skips the field.
 
 def save_chip(chip: ChipModel, path: str | Path) -> None:
     cid = chip.chip_id.encode("utf-8")
@@ -915,7 +908,7 @@ def save_chip(chip: ChipModel, path: str | Path) -> None:
             chip.cells.metastable_bias,
         ):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(np.packbits(chip.stored).tobytes())
+        fh.write(b"\xff" * (chip.num_cells // 8))  # all ones: a multiple of 16 cells needs no padding bits
         fh.write(
             struct.pack(
                 "<dd",
@@ -958,8 +951,8 @@ def load_chip(path: str | Path) -> ChipModel:
         if num_addresses == 0:
             raise ValueError(f"{path}: chip file lists no addresses")
         m = num_addresses * WORD_WIDTH
-        # four f64 arrays, the packed stored bits, two f64 coefficients, the u64 seed
-        expected = fh.tell() + 4 * 8 * m + (m + 7) // 8 + 16 + 8
+        # four f64 arrays, the reserved bit per cell, two f64 coefficients, the u64 seed
+        expected = fh.tell() + 4 * 8 * m + m // 8 + 16 + 8
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             what = "truncated chip file" if size < expected else "chip file longer than its header says"
@@ -968,8 +961,7 @@ def load_chip(path: str | Path) -> ChipModel:
                 f"the file has {size}"
             )
         arrays = [_read_into(fh, np.empty(m, dtype="<f8"), path) for _ in range(4)]
-        packed = _read_exact(fh, (m + 7) // 8, path)
-        stored = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m).astype(bool)
+        fh.seek(m // 8, os.SEEK_CUR)  # the reserved field: its length is checked above
         slope, thresh = struct.unpack("<dd", _read_exact(fh, 16, path))
         (seed,) = struct.unpack("<Q", _read_exact(fh, 8, path))
     cells = CellParams(*arrays)
@@ -977,7 +969,6 @@ def load_chip(path: str | Path) -> ChipModel:
         chip_id=chip_id,
         num_addresses=num_addresses,
         cells=cells,
-        stored=stored,
         env_coeffs=EnvCoeffs(temp_tau_slope_ns_per_c=slope, field_threshold_mt=thresh),
         seed=seed,
     )

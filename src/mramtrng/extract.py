@@ -69,9 +69,9 @@ def required_rounds(target_bits: int, num_randcell: int) -> int:
 @dataclass(frozen=True)
 class HarvestPlan:
     """What every unit of one harvest shares, computed once per run: the
-    readout set-up of the selected cells (their indices, keys and draw
-    thresholds) and the provenance (its ``rounds`` and
-    ``start_round`` are set per harvest_rounds call)."""
+    readout set-up of the selected cells (their keys and draw thresholds)
+    and the provenance (its ``rounds`` and ``start_round`` are set per
+    harvest_rounds call)."""
 
     readout: _Readout
     provenance: dict
@@ -107,7 +107,8 @@ def harvest_rounds(plan: HarvestPlan, rounds: int, start_round: int = 0) -> Bits
     """Readouts of the planned cells in rounds ``start_round`` onwards,
     round-major, then by ascending cell, as a raw stream: the rows of
     ``measure`` over the selected cells, from the same kernel.  Like
-    measure, this leaves the selected cells holding the last round's readout.
+    measure, this leaves the chip as it was, so units of one harvest can be
+    drawn in any order and in any process.
     """
     rows = _readout_rows(plan.readout, rounds, start_round)
     prov = dict(plan.provenance, rounds=rounds, start_round=start_round)

@@ -56,7 +56,7 @@ class CounterRng:
             self._k_round = mix64((s ^ _SEED_TWEAK) * _GOLDEN + _MIX_B)
 
     def cell_keys(self, cell_indices: np.ndarray) -> np.ndarray:
-        """Per-cell base keys; cacheable because they depend only on the seed.
+        """Per-cell base keys, which depend only on the seed and the cell.
 
         ``cell_indices`` may be any integer array (global cell numbers).
         """

@@ -111,11 +111,6 @@ def small_selection(small_chip):
     return sel
 
 
-@pytest.fixture()
-def fresh_small_chip():
-    return create_chip(small_config(), seed=7)
-
-
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fails a test that leaves a child process behind, running or not

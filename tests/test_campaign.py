@@ -50,10 +50,6 @@ CASES = [(c, "ref", n) for c in CELL_SETS for n in (2, 50)] + [
 ]
 
 
-def _fresh_chip():
-    return create_chip(small_config(), seed=7)
-
-
 def _flips(rows):
     """Each cell's number of changes between consecutive readout rows."""
     return np.count_nonzero(rows[1:] != rows[:-1], axis=0)
@@ -87,23 +83,20 @@ def _matrix_path(chip, widths, cells, env, n):
 
 
 @pytest.mark.parametrize("cells, env, n", CASES)
-def test_sweep_matches_matrix_path(cells, env, n):
-    chip, ref_chip = _fresh_chip(), _fresh_chip()
-    sweep = sweep_tw(chip, WIDTHS, env=ENVS[env], n=n)
-    ref = _matrix_path(ref_chip, WIDTHS, cells, ENVS[env], n)
+def test_sweep_matches_matrix_path(small_chip, cells, env, n):
+    sweep = sweep_tw(small_chip, WIDTHS, env=ENVS[env], n=n)
+    ref = _matrix_path(small_chip, WIDTHS, cells, ENVS[env], n)
     assert [f.t_w_ns for f in sweep.folds] == list(WIDTHS)
     assert [f.error_fraction() for f in sweep.folds] == [m.error_fraction() for m in ref]
     assert sweep.folds[WIDTHS.index(15.0)].error_fraction() == 0.0
     assert choose_tw(sweep) == 2.5
-    # the chip holds the last round of the last width, as after the last measure
-    assert np.array_equal(chip.stored, ref_chip.stored)
 
 
 @pytest.mark.parametrize("n, env", [(2, "ref"), (50, "ref"), (50, "cold"), (50, "field")])
-def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
+def test_characterize_matches_matrix_path(tmp_path, capsys, small_chip, n, env):
     """Flip counts, error fraction and invariant share printed or written by
     `characterize` equal those of the measure() rows."""
-    chip = _fresh_chip()
+    chip = small_chip
     path, report = tmp_path / "chip.mrtg", tmp_path / "sel.csv"
     save_chip(chip, path)
     e = ENVS[env]
@@ -128,16 +121,15 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, n, env):
 
 @pytest.mark.parametrize("block", [None, 4999])
 @pytest.mark.parametrize("cells, env, n", CASES)
-def test_fold_matches_matrix_path(monkeypatch, cells, env, n, block):
+def test_fold_matches_matrix_path(monkeypatch, small_chip, cells, env, n, block):
     """Every reduction of every width equals the one of its measure() rows;
     with 4999-cell blocks the unit-test chip spans seven blocks, the last
     one partial."""
     if block is not None:
         monkeypatch.setattr(device, "_FOLD_BLOCK", block)
-    chip, ref_chip = _fresh_chip(), _fresh_chip()
     timings = [TimingParams(t) for t in WIDTHS]
-    folds = fold_campaigns(chip, timings, ENVS[env], n=n)
-    ref = _matrix_path(ref_chip, WIDTHS, cells, ENVS[env], n)
+    folds = fold_campaigns(small_chip, timings, ENVS[env], n=n)
+    ref = _matrix_path(small_chip, WIDTHS, cells, ENVS[env], n)
     for fold, m in zip(folds, ref, strict=True):
         assert (fold.t_w_ns, fold.n_measurements) == (m.t_w_ns, n)
         assert fold.errors == np.count_nonzero(m.bits)
@@ -145,7 +137,6 @@ def test_fold_matches_matrix_path(monkeypatch, cells, env, n, block):
         assert np.array_equal(fold.first_errors, m.bits[0])
         assert np.array_equal(fold.flip_counts, _flips(m.bits))
         assert np.array_equal(classify_fold(fold).labels, _taxonomy(m.bits).labels)
-    assert np.array_equal(chip.stored, ref_chip.stored)
 
 
 @settings(max_examples=100)
@@ -160,31 +151,28 @@ def test_fold_matches_matrix_path(monkeypatch, cells, env, n, block):
     start=st.integers(0, 19),
 )
 def test_fold_equals_measure_rows_on_random_chips(seed, addresses, cells, temperature, field, widths, n, start):
-    """The sparse fold equals the reductions of the dense measure() rows, the
-    chip's final state included.  Each width's rows come from measure calls
-    split at round ``start``, so the second starts mid-campaign, and at the
-    cell set.  At 512 addresses a call over every cell runs in batches of 8
-    rounds, and a call of 9 to 15 or 17 to 20 rounds ends in a short one."""
+    """The sparse fold equals the reductions of the dense measure() rows.
+    Each width's rows come from measure calls split at round ``start``, so
+    the second starts mid-campaign, and at the cell set.  At 512 addresses
+    a call over every cell runs in batches of 8 rounds, and a call of 9 to
+    15 or 17 to 20 rounds ends in a short one."""
     start %= n
-    chip, ref_chip = create_chip(small_config(addresses), seed), create_chip(small_config(addresses), seed)
+    chip = create_chip(small_config(addresses), seed)
     env, cells = Environment(temperature_c=temperature, field_mt=field), cell_set(cells, chip.num_cells)
     timings = [TimingParams(t) for t in widths]
     folds = fold_campaigns(chip, timings, env, n=n)
     for fold, t in zip(folds, timings, strict=True):
         parts = [(0, start), (start, n - start)] if start else [(0, n)]
-        rows = np.concatenate([_stitched(ref_chip, t, cells, env, k, s).bits for s, k in parts])
+        rows = np.concatenate([_stitched(chip, t, cells, env, k, s).bits for s, k in parts])
         assert fold.errors == np.count_nonzero(rows)
         assert np.array_equal(fold.first_errors, rows[0])
         assert np.array_equal(fold.flip_counts, _flips(rows))
-    assert np.array_equal(chip.stored, ref_chip.stored)
 
 
-def test_fold_single_round():
-    chip = _fresh_chip()
-    (fold,) = fold_campaigns(chip, [TimingParams(2.5)], n=1)
-    m = measure(_fresh_chip(), TimingParams(2.5), n=1)
+def test_fold_single_round(small_chip):
+    (fold,) = fold_campaigns(small_chip, [TimingParams(2.5)], n=1)
+    m = measure(small_chip, TimingParams(2.5), n=1)
     assert fold.error_fraction() == m.error_fraction()
-    assert np.array_equal(chip.stored, m.bits[0])
     with pytest.raises(ValueError, match="N-1"):
         select_cells(fold.flip_counts, 1, SelectionThresholds(1))
     with pytest.raises(ValueError, match="2 measurements"):
@@ -192,12 +180,12 @@ def test_fold_single_round():
 
 
 @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
-def test_fold_flip_count_extremes(monkeypatch, n, dtype):
+def test_fold_flip_count_extremes(monkeypatch, small_chip, n, dtype):
     """A cell whose readout never changes has no flips, and one that changes
     every round has n - 1, in the smallest dtype that holds n - 1.  The
     kernel is replaced by one that reads 1 on odd rounds at the first
     width, always at the second and never at the third."""
-    chip = _fresh_chip()
+    chip = small_chip
     rounds = {tuple(rk): r for r, rk in enumerate(device._round_keys(chip, np.arange(n)))}
 
     def kernel(keys, thresholds, round_keys):
@@ -216,12 +204,11 @@ def test_fold_flip_count_extremes(monkeypatch, n, dtype):
     assert all(np.all(got == cls) for got, cls in zip(labels, want))
 
 
-def test_fold_rejects_bad_arguments():
-    chip = _fresh_chip()
+def test_fold_rejects_bad_arguments(small_chip):
     with pytest.raises(ValueError, match="at least one measurement"):
-        fold_campaigns(chip, [TimingParams(2.5)], n=0)
+        fold_campaigns(small_chip, [TimingParams(2.5)], n=0)
     with pytest.raises(ValueError, match="pulse width"):
-        fold_campaigns(chip, [], n=5)
+        fold_campaigns(small_chip, [], n=5)
 
 
 # --- the fold split across processes -----------------------------------------
@@ -231,24 +218,21 @@ def test_fold_rejects_bad_arguments():
 SPLIT_BLOCK = 3300
 
 
-def _split_fold(monkeypatch, workers):
-    """The four-width, 50-round fold of a fresh unit-test chip, in ten blocks
-    shared by ``workers`` processes; returns the folds and the chip."""
+def _split_fold(monkeypatch, chip, workers):
+    """The four-width, 50-round fold of ``chip``, in ten blocks shared by
+    ``workers`` processes."""
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
     monkeypatch.setattr(device, "_workers", lambda blocks: min(workers, blocks))
-    chip = _fresh_chip()
     timings = [TimingParams(t) for t in WIDTHS]
-    return fold_campaigns(chip, timings, ENVS["ref"], n=50), chip
+    return fold_campaigns(chip, timings, ENVS["ref"], n=50)
 
 
-def _assert_same_fold(got, want):
-    (folds, chip), (ref_folds, ref_chip) = got, want
+def _assert_same_fold(folds, ref_folds):
     for fold, ref in zip(folds, ref_folds, strict=True):
         assert fold.errors == ref.errors
         assert fold.flip_counts.dtype == ref.flip_counts.dtype
         assert np.array_equal(fold.flip_counts, ref.flip_counts)
         assert np.array_equal(fold.first_errors, ref.first_errors)
-    assert np.array_equal(chip.stored, ref_chip.stored)
 
 
 def test_fold_workers_rule(monkeypatch):
@@ -261,22 +245,22 @@ def test_fold_workers_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_fold_split_equals_in_process_fold(monkeypatch, workers):
-    ref = _split_fold(monkeypatch, 1)
-    _assert_same_fold(_split_fold(monkeypatch, workers), ref)
+def test_fold_split_equals_in_process_fold(monkeypatch, small_chip, workers):
+    ref = _split_fold(monkeypatch, small_chip, 1)
+    _assert_same_fold(_split_fold(monkeypatch, small_chip, workers), ref)
 
 
-def test_fold_falls_back_in_process_when_fork_fails(monkeypatch):
-    ref = _split_fold(monkeypatch, 1)
+def test_fold_falls_back_in_process_when_fork_fails(monkeypatch, small_chip):
+    ref = _split_fold(monkeypatch, small_chip, 1)
 
     def no_fork():
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    _assert_same_fold(_split_fold(monkeypatch, 3), ref)
+    _assert_same_fold(_split_fold(monkeypatch, small_chip, 3), ref)
 
 
-def test_fold_raises_when_a_worker_fails(monkeypatch):
+def test_fold_raises_when_a_worker_fails(monkeypatch, small_chip):
     """A worker whose kernel raises sends nothing and exits 1, and the parent
     raises instead of returning a partial fold; a worker that sends its data
     but exits non-zero fails the fold too."""
@@ -287,25 +271,21 @@ def test_fold_raises_when_a_worker_fails(monkeypatch):
             raise MemoryError("worker out of memory")
         return kernel(*args)
 
-    chip = _fresh_chip()
-    before = chip.stored.copy()
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
     monkeypatch.setattr(device, "_workers", lambda blocks: min(3, blocks))
     monkeypatch.setattr(device, "_write_errors", failing_in_workers)
     timings = [TimingParams(t) for t in WIDTHS]
     with pytest.raises(ChildProcessError, match="short data"):
-        fold_campaigns(chip, timings, n=50)
-    assert np.array_equal(chip.stored, before)
+        fold_campaigns(small_chip, timings, n=50)
 
     monkeypatch.setattr(device, "_write_errors", kernel)
     exit_ = os._exit
     monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 3))
     with pytest.raises(ChildProcessError, match="exit codes"):
-        fold_campaigns(chip, timings, n=50)
-    assert np.array_equal(chip.stored, before)
+        fold_campaigns(small_chip, timings, n=50)
 
 
-def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch):
+def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch, small_chip):
     parent, kernel = os.getpid(), device._write_errors
 
     def failing_in_parent(*args):
@@ -315,7 +295,7 @@ def test_fold_reaps_workers_when_its_own_blocks_raise(monkeypatch):
 
     monkeypatch.setattr(device, "_write_errors", failing_in_parent)
     with pytest.raises(ValueError, match="parent block failed"):
-        _split_fold(monkeypatch, 3)
+        _split_fold(monkeypatch, small_chip, 3)
 
 
 # --- integer thresholds -------------------------------------------------------

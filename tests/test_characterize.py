@@ -146,20 +146,20 @@ def test_classify_fold():
     assert tax.count(CellClass.NOISE_PRONE) == 2
 
 
-def test_selected_cells_are_noise_prone(fresh_small_chip):
-    (fold,) = fold_campaigns(fresh_small_chip, [TimingParams(2.5)], n=20)
+def test_selected_cells_are_noise_prone(small_chip):
+    (fold,) = fold_campaigns(small_chip, [TimingParams(2.5)], n=20)
     sel = select_cells(fold.flip_counts, 20, SelectionThresholds(6))
     tax = classify_fold(fold)
     assert not sel.empty
     assert np.all(tax.labels[sel.cell_indices] == CellClass.NOISE_PRONE)
 
 
-def test_sweep_error_increases_as_pulse_narrows(fresh_small_chip):
-    sweep = sweep_tw(fresh_small_chip, (15.0, 10.0, 5.0, 2.5), n=8)
+def test_sweep_error_increases_as_pulse_narrows(small_chip):
+    sweep = sweep_tw(small_chip, (15.0, 10.0, 5.0, 2.5), n=8)
     by_tw = {f.t_w_ns: f.error_fraction() for f in sweep.folds}
     assert by_tw[2.5] > by_tw[5.0] > by_tw[10.0] >= by_tw[15.0]
     assert choose_tw(sweep) == 2.5
-    rows = measure(fresh_small_chip, TimingParams(2.5), n=8).bits
+    rows = measure(small_chip, TimingParams(2.5), n=8).bits
     fold = sweep.folds[-1]
     assert (fold.t_w_ns, fold.n_measurements) == (2.5, 8)
     assert np.array_equal(fold.flip_counts, np.count_nonzero(rows[1:] != rows[:-1], axis=0))
@@ -176,8 +176,8 @@ def test_choose_tw_tie_prefers_wider_pulse():
     assert choose_tw(res) == 5.0
 
 
-def test_sweep_csv(tmp_path, fresh_small_chip):
-    sweep = sweep_tw(fresh_small_chip, (15.0, 2.5), n=4)
+def test_sweep_csv(tmp_path, small_chip):
+    sweep = sweep_tw(small_chip, (15.0, 2.5), n=4)
     p = tmp_path / "sweep.csv"
     sweep.to_csv(p)
     lines = p.read_text().strip().splitlines()

@@ -602,6 +602,16 @@ def test_pipeline_golden_artifacts(config_file, tmp_path):
     assert digests == PIPELINE_GOLDEN_SHA256
 
 
+# SHA-256 of `chip --seed 7 --out <file>` with the packaged recipe
+DEFAULT_CHIP_SHA256 = "0c874ea2d25c27eeeca4d7c4ae6a6f831d801c7552f1a85b39f004f14a0580f7"
+
+
+def test_default_chip_file_is_pinned(tmp_path):
+    path = tmp_path / "chip.mrtg"
+    assert cli.main(["chip", "--seed", "7", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CHIP_SHA256
+
+
 def test_traced_benchmark_run_installs(config_file, tmp_path):
     """perfbench/trace_child.py wraps every public layer function by name
     (and binds the signature of device.measure); a traced pipeline on the

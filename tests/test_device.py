@@ -1,10 +1,14 @@
-"""Device-model behaviour: toggle semantics, environment response, persistence."""
+"""Device-model behaviour: toggle semantics, environment response, a chip
+as a value, persistence."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from mramtrng import cli, device
 from mramtrng.device import (
     ChipConfig,
     Environment,
@@ -14,10 +18,12 @@ from mramtrng.device import (
     TimingParams,
     create_chip,
     failure_probability,
+    fold_campaigns,
     load_chip,
     measure,
     save_chip,
 )
+from mramtrng.extract import harvest_rounds, plan_harvest
 
 from conftest import small_config
 
@@ -81,7 +87,6 @@ def test_create_chip_respects_truncation():
     assert chip.cells.steepness.min() >= cfg.steepness_min
     assert chip.cells.steepness.max() <= cfg.steepness_max
     assert chip.num_cells == 512 * 16
-    assert chip.stored.all()  # ships in the reset state
 
 
 def test_config_validation():
@@ -161,12 +166,12 @@ def test_marginal_bias_is_word_correlated_and_balanced():
 # --- write semantics -------------------------------------------------------
 
 
-def test_nominal_write_stores_pattern(fresh_small_chip):
-    # the all-0 data reaches nearly every cell at the nominal pulse
-    chip = fresh_small_chip
-    assert chip.stored.all()  # a new chip holds the all-ones reset
-    measure(chip, TimingParams(), n=1)
-    assert np.count_nonzero(chip.stored) / chip.num_cells < 1e-3
+def test_nominal_write_stores_pattern(small_chip):
+    # the all-0 data reaches nearly every cell at the nominal pulse: the
+    # readout holds a 1 (the reset, an error) in fewer than 0.1% of cells
+    m = measure(small_chip, TimingParams(), n=1)
+    assert m.bits.shape == (1, small_chip.num_cells)
+    assert m.error_fraction() < 1e-3
 
 
 # --- failure probability and environment ----------------------------------
@@ -201,8 +206,8 @@ def test_subthreshold_field_is_exactly_inert(small_chip):
     assert not np.array_equal(p_hi, p0)
 
 
-def test_subthreshold_field_measurement_bit_identical(fresh_small_chip):
-    chip = fresh_small_chip
+def test_subthreshold_field_measurement_bit_identical(small_chip):
+    chip = small_chip
     t = TimingParams(2.5)
     m0 = measure(chip, t, Environment(field_mt=0.0), n=5)
     m8 = measure(chip, t, Environment(field_mt=8.0), n=5)
@@ -212,19 +217,18 @@ def test_subthreshold_field_measurement_bit_identical(fresh_small_chip):
 # --- measurement campaigns -------------------------------------------------
 
 
-def test_measure_shape_and_determinism(fresh_small_chip):
-    chip = fresh_small_chip
+def test_measure_shape_and_determinism(small_chip):
+    chip = small_chip
     t = TimingParams(2.5)
     m1 = measure(chip, t, n=8)
     m2 = measure(chip, t, n=8)
     assert m1.bits.shape == (8, chip.num_cells)
     assert np.array_equal(m1.bits, m2.bits)
     assert m1.n_measurements == 8
-    assert np.array_equal(chip.stored, m2.bits[-1])
 
 
-def test_measure_subset_matches_full_columns(fresh_small_chip):
-    chip = fresh_small_chip
+def test_measure_subset_matches_full_columns(small_chip):
+    chip = small_chip
     t = TimingParams(2.5)
     full = measure(chip, t, n=6)
     idx = np.random.default_rng(1).choice(chip.num_cells, size=700, replace=False)
@@ -232,40 +236,84 @@ def test_measure_subset_matches_full_columns(fresh_small_chip):
     assert np.array_equal(sub.bits, full.bits[:, idx])
 
 
-def test_measure_round_offset_continues_the_campaign(fresh_small_chip):
-    chip = fresh_small_chip
+def test_measure_round_offset_continues_the_campaign(small_chip):
+    chip = small_chip
     t = TimingParams(2.5)
     long = measure(chip, t, n=10)
     tail = measure(chip, t, n=4, start_round=6)
     assert np.array_equal(tail.bits, long.bits[6:])
 
 
-def test_measure_rejects_zero_rounds(fresh_small_chip):
+def test_measure_rejects_zero_rounds(small_chip):
     with pytest.raises(ValueError):
-        measure(fresh_small_chip, TimingParams(), n=0)
+        measure(small_chip, TimingParams(), n=0)
 
 
-def test_reduced_write_error_band(fresh_small_chip):
+def test_reduced_write_error_band(small_chip):
     # loose on the unit-test chip; the tight window is checked on the
     # shipped 1 Mb recipe in the acceptance suite
-    m = measure(fresh_small_chip, TimingParams(2.5), n=10)
+    m = measure(small_chip, TimingParams(2.5), n=10)
     assert 0.1 < m.error_fraction() < 0.6
     assert m.error_fraction() == float(np.mean(m.bits))
+
+
+# --- a chip is a value -----------------------------------------------------
+
+
+def _chip_state(chip):
+    """Copies of every field of ``chip``, with its cell arrays one by one."""
+    state = {name: copy.deepcopy(value) for name, value in vars(chip).items() if name != "cells"}
+    state.update({f"cells.{name}": arr.copy() for name, arr in vars(chip.cells).items()})
+    return state
+
+
+def _assert_same_state(got, want, campaign):
+    assert got.keys() == want.keys(), campaign
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and np.array_equal(got[name], value), (campaign, name)
+        else:
+            assert got[name] == value, (campaign, name)
+
+
+def test_campaigns_leave_the_chip_unchanged(monkeypatch, small_chip, small_selection, tmp_path):
+    """measure, the fold in one and in three processes, the harvest and a
+    three-process generate read the chip and change nothing in it; its
+    fields cannot be assigned and its cell arrays cannot be written."""
+    chip, timing, before = small_chip, TimingParams(2.5), _chip_state(small_chip)
+    sel, widths = small_selection, [timing, TimingParams(5.0)]
+    campaigns = {  # name: (processes, campaign)
+        "measure": (1, lambda: measure(chip, timing, n=3)),
+        "measure of a subset": (1, lambda: measure(chip, timing, n=3, cell_indices=sel.cell_indices)),
+        "fold": (1, lambda: fold_campaigns(chip, widths, n=3)),
+        "split fold": (3, lambda: fold_campaigns(chip, widths, n=3)),
+        "harvest_rounds": (1, lambda: harvest_rounds(plan_harvest(chip, sel, timing), 5, start_round=2)),
+        "generate": (3, lambda: cli._generate_into(tmp_path, chip, sel, timing, 5000, Environment(), unit_bits=1024)),
+    }
+    monkeypatch.setattr(device, "_FOLD_BLOCK", 3300)  # ten blocks, so three processes fold
+    for name, (workers, campaign) in campaigns.items():
+        monkeypatch.setattr(device, "_workers", lambda jobs: min(workers, jobs))
+        campaign()
+        _assert_same_state(_chip_state(chip), before, name)
+    for f in dataclasses.fields(chip):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chip, f.name, getattr(chip, f.name))
+    for arr in vars(chip.cells).values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 # --- persistence -----------------------------------------------------------
 
 
-def test_chip_file_roundtrip(tmp_path, fresh_small_chip):
-    chip = fresh_small_chip
-    measure(chip, TimingParams(5.0), n=1)
+def test_chip_file_roundtrip(tmp_path, small_chip):
+    chip = small_chip
     p = tmp_path / "chip.mrtg"
     save_chip(chip, p)
     again = load_chip(p)
     assert again.chip_id == chip.chip_id
     assert again.num_addresses == chip.num_addresses
     assert again.seed == chip.seed
-    assert np.array_equal(again.stored, chip.stored)
     for name in ("tau_ns", "steepness", "metastable_frac", "metastable_bias"):
         assert np.array_equal(getattr(again.cells, name), getattr(chip.cells, name))
     assert again.env_coeffs == chip.env_coeffs
@@ -275,6 +323,25 @@ def test_chip_file_roundtrip(tmp_path, fresh_small_chip):
     assert np.array_equal(m1.bits, m2.bits)
 
 
+def test_chip_file_reserved_field_is_skipped_and_rewritten(tmp_path, small_chip):
+    """The field of one bit per cell before the coefficients and the seed is
+    read past: a file with random bytes there loads and measures as the same
+    chip, and saving it again writes the all-ones reset (0xFF) there."""
+    reset, noisy = tmp_path / "reset.mrtg", tmp_path / "noisy.mrtg"
+    save_chip(small_chip, reset)
+    data = bytearray(reset.read_bytes())
+    size = small_chip.num_cells // 8
+    field = slice(len(data) - 24 - size, len(data) - 24)  # two f64 and a u64 follow
+    assert data[field] == b"\xff" * size
+    data[field] = np.random.default_rng(2).bytes(size)
+    noisy.write_bytes(data)
+    chip = load_chip(noisy)
+    timing = TimingParams(2.5)
+    assert np.array_equal(measure(chip, timing, n=4).bits, measure(load_chip(reset), timing, n=4).bits)
+    save_chip(chip, noisy)
+    assert noisy.read_bytes() == reset.read_bytes()
+
+
 def test_chip_file_bad_magic(tmp_path):
     p = tmp_path / "junk.mrtg"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -282,9 +349,9 @@ def test_chip_file_bad_magic(tmp_path):
         load_chip(p)
 
 
-def test_chip_file_truncated(tmp_path, fresh_small_chip):
+def test_chip_file_truncated(tmp_path, small_chip):
     p = tmp_path / "chip.mrtg"
-    save_chip(fresh_small_chip, p)
+    save_chip(small_chip, p)
     data = p.read_bytes()
     p.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="truncated"):
