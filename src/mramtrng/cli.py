@@ -53,12 +53,12 @@ from .device import (
 from .extract import (
     B_LEN,
     D_LEN,
-    conditioned_provenance,
     digest_blocks,
+    harvest_provenance,
     harvest_rounds,
-    load_bitstream,
     open_bitstream,
     plan_harvest,
+    read_bitstream,
     required_rounds,
     save_provenance,
 )
@@ -83,12 +83,13 @@ ENV_PREFIX = "MRTG_"
 # many a default-chip pipeline takes seconds, not minutes (see the --n help)
 MAX_ROUNDS = 1000
 
-# rated maximum of --bits: time, memory and file sizes grow linearly in the
-# bits, and at this many a default-chip pipeline takes seconds and a few
-# hundred MB, not minutes and gigabytes (see the --bits help)
+# rated maximum of --bits: time and file sizes grow linearly in the bits,
+# and at this many a default-chip pipeline takes seconds and about 90 MB,
+# not minutes and gigabytes (see the --bits help)
 MAX_BITS = 10**8
 
-# conditioned bits produced by `pipeline` are graded in slices this long
+# `pipeline` grades its conditioned output as sequences this long (or as
+# one sequence, when it has fewer bits)
 PIPELINE_STREAM_BITS = 100_000
 
 # raw bits per harvest unit of `generate` and `pipeline` (about 2 Mbit: 259
@@ -267,9 +268,12 @@ def _generate_into(
     number of B_LEN-bit blocks (by default HARVEST_CHUNK_BITS, or more when
     one round has more cells), and the units are shared between processes
     (device._forked).  A unit draws the rounds it overlaps, keeps its own
-    bits, and hashes its whole blocks; only the last unit can end in a
-    partial byte or block, which goes to raw.bits and is not conditioned.
-    The files are the same bytes for any unit size and process count.
+    bits, packs them, and hashes its whole blocks with digest_blocks; only
+    the last unit can end in a partial byte or block, which goes to
+    raw.bits and is not conditioned.  The files are the same bytes for any
+    unit size and process count.  Both headers are written first, since the
+    bit counts follow from ``bits`` and the selection, and the provenance
+    record is built once, at the end.
     """
     cells = sel.num_randcell
     rounds = required_rounds(bits, cells)
@@ -286,8 +290,9 @@ def _generate_into(
         lo, hi = span(u)
         first = lo // cells
         drawn = harvest_rounds(plan, -(-hi // cells) - first, start_round=first)
-        packed = np.packbits(drawn.bits[lo - first * cells : hi - first * cells])
-        return [packed, digest_blocks(packed)]
+        packed = np.packbits(drawn[lo - first * cells : hi - first * cells])
+        # whole bytes only: a zero-padded last byte must not complete a block
+        return [packed, digest_blocks(packed[: (hi - lo) // 8])]
 
     def unit_buffers(u: int) -> list[np.ndarray]:
         lo, hi = span(u)
@@ -301,8 +306,7 @@ def _generate_into(
         for packed, digests in results:
             raw_fh.write(packed)
             cond_fh.write(digests)
-    prov = conditioned_provenance(dict(plan.provenance, rounds=rounds), raw_bits)
-    save_provenance(out / "provenance.json", "conditioned", cond_bits, prov)
+    save_provenance(out / "provenance.json", cond_bits, harvest_provenance(chip, sel, timing, env, rounds))
     return rounds, raw_bits, cond_bits
 
 
@@ -400,9 +404,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     fmt = _format(args)
-    # loaded as the battery reaches them, so one stream is in memory at a time
+    # each file is one sequence, read as the battery reaches it, so one
+    # stream is in memory at a time
     seqs = (
-        load_bitstream(p).bits if p.suffix in (".bits", ".bin") else import_sts(p).bits
+        next(read_bitstream(p)) if p.suffix in (".bits", ".bin") else import_sts(p).bits
         for p in map(Path, args.streams)
     )
     summary, body = _battery_report(seqs, fmt)
@@ -466,14 +471,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"({sel.bits_per_rand_addr:.2f} bits/address, digest {selection_digest(sel)[:16]})"
     )
 
-    _generate_into(out, chip, sel, timing, bits, env)
-    conditioned = load_bitstream(out / "conditioned.bits", kind="conditioned")
-
-    n_streams = max(1, len(conditioned) // PIPELINE_STREAM_BITS)
-    stream_len = PIPELINE_STREAM_BITS if len(conditioned) >= PIPELINE_STREAM_BITS else len(conditioned)
-    streams = [
-        conditioned.bits[i * stream_len : (i + 1) * stream_len] for i in range(n_streams)
-    ]
+    *_, cond_bits = _generate_into(out, chip, sel, timing, bits, env)
+    streams = read_bitstream(out / "conditioned.bits", min(PIPELINE_STREAM_BITS, cond_bits))
     summary, body = _battery_report(streams, fmt)
     name = "battery.csv" if fmt == "csv" else "battery.txt"
     (out / name).write_text(_report_header("statistical battery", chip, digest) + body, encoding="utf-8")
@@ -520,7 +519,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             "--bits",
             type=int,
             help=f"conditioned bits to produce (default 1000000, at most {MAX_BITS}; on 2 CPUs, --bits "
-            f"{MAX_BITS} took 2.1-2.6 s and 72 MB of memory in generate, 6.0-6.3 s and 218 MB in "
+            f"{MAX_BITS} took 2.1-2.6 s and 72 MB of memory in generate, 4.2-5.3 s and 90 MB in "
             f"pipeline --seed 7)",
         )
     if "out" in names:

@@ -9,17 +9,20 @@ digests are concatenated.  A trailing partial block is discarded, so
     len(conditioned) == floor(len(raw) / B_LEN) * D_LEN
 
 Bit/byte packing is MSB first throughout: the first harvested bit is the
-most significant bit of the first byte fed to the hash.
+most significant bit of the first byte fed to the hash.  A stream exists
+only as a .bits file of those packed bytes: the harvest hashes packed
+bytes (digest_blocks) as it writes them, and the graders read the file
+back one sequence at a time (read_bitstream).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -30,28 +33,6 @@ from .device import ChipModel, Environment, TimingParams, _plan_readout, _Readou
 # conditioning geometry: raw bits in (whole bytes), SHA-256 digest bits out, per block
 B_LEN = 512
 D_LEN = 256
-
-
-@dataclass
-class Bitstream:
-    """A bit sequence plus the provenance needed to regenerate it."""
-
-    bits: np.ndarray
-    kind: str = "raw"
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.kind not in ("raw", "conditioned"):
-            raise ValueError(f"kind must be 'raw' or 'conditioned', got {self.kind!r}")
-        if self.kind == "conditioned" and len(self.bits) % D_LEN:
-            raise ValueError(
-                f"conditioned streams are whole digests; length {len(self.bits)} "
-                f"is not a multiple of {D_LEN}"
-            )
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
 
 
 def required_rounds(target_bits: int, num_randcell: int) -> int:
@@ -66,28 +47,35 @@ def required_rounds(target_bits: int, num_randcell: int) -> int:
     return -(-raw_needed // num_randcell)
 
 
-@dataclass(frozen=True)
-class HarvestPlan:
-    """What every unit of one harvest shares, computed once per run: the
-    readout set-up of the selected cells (their keys and draw thresholds)
-    and the provenance (its ``rounds`` and ``start_round`` are set per
-    harvest_rounds call)."""
-
-    readout: _Readout
-    provenance: dict
-
-
 def plan_harvest(
     chip: ChipModel,
     selection: CellSelection,
     timing: TimingParams,
     env: Environment | None = None,
-) -> HarvestPlan:
-    """The per-run set-up of harvesting ``selection`` at ``timing``."""
+) -> _Readout:
+    """The per-run set-up of harvesting ``selection`` at ``timing``: the
+    selected cells' keys and draw thresholds, shared by every unit."""
     if selection.empty:
         raise ValueError("cannot harvest from an empty selection")
-    env = env or Environment()
-    prov = {
+    return _plan_readout(chip, timing, env or Environment(), selection.cell_indices)
+
+
+def harvest_rounds(plan: _Readout, rounds: int, start_round: int = 0) -> np.ndarray:
+    """Readouts of the planned cells in rounds ``start_round`` onwards,
+    round-major, then by ascending cell, as one flat bool array: the rows of
+    ``measure`` over the selected cells, from the same kernel.  Like
+    measure, this leaves the chip as it was, so units of one harvest can be
+    drawn in any order and in any process.
+    """
+    return _readout_rows(plan, rounds, start_round).reshape(-1)
+
+
+def harvest_provenance(
+    chip: ChipModel, selection: CellSelection, timing: TimingParams, env: Environment, rounds: int
+) -> dict:
+    """The origin of a stream harvested over ``rounds`` rounds from round 0
+    and conditioned, as provenance.json records it."""
+    return {
         "chip_id": chip.chip_id,
         "seed": chip.seed,
         "t_w_ns": timing.t_w_ns,
@@ -95,24 +83,14 @@ def plan_harvest(
         "pattern": {"kind": "solid", "word_a": 0, "word_b": 0xFFFF, "seed": 0},
         # the field's axis is fixed: the model reads only its magnitude
         "env": {"temperature_c": env.temperature_c, "field_mt": env.field_mt, "field_axis": "+z"},
-        "rounds": 0,
+        "rounds": rounds,
         "start_round": 0,
         "num_randcell": selection.num_randcell,
         "selection_sha256": selection_digest(selection),
+        "b_len": B_LEN,
+        "d_len": D_LEN,
+        "raw_bits": rounds * selection.num_randcell,
     }
-    return HarvestPlan(_plan_readout(chip, timing, env, selection.cell_indices), prov)
-
-
-def harvest_rounds(plan: HarvestPlan, rounds: int, start_round: int = 0) -> Bitstream:
-    """Readouts of the planned cells in rounds ``start_round`` onwards,
-    round-major, then by ascending cell, as a raw stream: the rows of
-    ``measure`` over the selected cells, from the same kernel.  Like
-    measure, this leaves the chip as it was, so units of one harvest can be
-    drawn in any order and in any process.
-    """
-    rows = _readout_rows(plan.readout, rounds, start_round)
-    prov = dict(plan.provenance, rounds=rounds, start_round=start_round)
-    return Bitstream(bits=rows.reshape(-1), kind="raw", provenance=prov)
 
 
 def digest_blocks(packed: bytes) -> bytes:
@@ -123,22 +101,6 @@ def digest_blocks(packed: bytes) -> bytes:
     view = memoryview(packed)
     sha256 = hashlib.sha256
     return b"".join(sha256(view[i : i + step]).digest() for i in range(0, len(view) - step + 1, step))
-
-
-def conditioned_provenance(raw_provenance: dict, raw_bits: int) -> dict:
-    """Provenance of the stream conditioned from ``raw_bits`` raw bits."""
-    return dict(raw_provenance, b_len=B_LEN, d_len=D_LEN, raw_bits=raw_bits)
-
-
-def condition(raw: Bitstream) -> Bitstream:
-    """SHA-256 each full B_LEN-bit block; drop any trailing partial block."""
-    if raw.kind != "raw":
-        raise ValueError("condition() expects a raw stream")
-    used = raw.bits[: len(raw) // B_LEN * B_LEN]
-    digests = digest_blocks(np.packbits(used).tobytes())  # B_LEN % 8 == 0, exact
-    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8)).astype(bool)
-    prov = conditioned_provenance(raw.provenance, len(raw))
-    return Bitstream(bits=bits, kind="conditioned", provenance=prov)
 
 
 # --- persistence -----------------------------------------------------------
@@ -156,25 +118,33 @@ def open_bitstream(path: str | Path, n_bits: int) -> BinaryIO:
     return fh
 
 
-def load_bitstream(path: str | Path, kind: str = "raw") -> Bitstream:
+def read_bitstream(path: str | Path, length: int | None = None) -> Iterator[np.ndarray]:
+    """The consecutive ``length``-bit sequences of a bitstream file (by
+    default the whole stream, as one sequence), each read and unpacked to a
+    bool array only when it is taken; a trailing part shorter than
+    ``length`` is not yielded.  The header and the file size are checked
+    before the first sequence."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated bitstream file")
         (n_bits,) = _HEADER.unpack(header)
-        payload = fh.read()
-    n_bytes = (n_bits + 7) // 8
-    if len(payload) != n_bytes:
-        what = "truncated bitstream file" if len(payload) < n_bytes else "bitstream file longer than its header says"
-        raise ValueError(
-            f"{path}: {what}: {n_bits} bits need {n_bytes} payload bytes, the file has {len(payload)}"
-        )
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_bits)
-    return Bitstream(bits=bits.view(bool), kind=kind)
+        n_bytes, size = (n_bits + 7) // 8, os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != n_bytes:
+            what = "truncated bitstream file" if size < n_bytes else "bitstream file longer than its header says"
+            raise ValueError(f"{path}: {what}: {n_bits} bits need {n_bytes} payload bytes, the file has {size}")
+        if n_bits == 0:
+            raise ValueError(f"{path}: no bits in file")
+        length = length or n_bits
+        for start in range(0, n_bits - length + 1, length):
+            skip = start % 8
+            fh.seek(_HEADER.size + start // 8)
+            packed = np.frombuffer(fh.read((skip + length + 7) // 8), dtype=np.uint8)
+            yield np.unpackbits(packed)[skip : skip + length].view(bool)
 
 
-def save_provenance(path: str | Path, kind: str, n_bits: int, provenance: dict) -> None:
-    """JSON sidecar with a stream's kind, length and origin metadata."""
+def save_provenance(path: str | Path, n_bits: int, provenance: dict) -> None:
+    """JSON sidecar of a conditioned stream: its length and origin."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": kind, "bits": n_bits, "provenance": provenance}, fh, indent=2)
+        json.dump({"kind": "conditioned", "bits": n_bits, "provenance": provenance}, fh, indent=2)
         fh.write("\n")

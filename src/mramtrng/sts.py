@@ -377,11 +377,14 @@ def run_all(seq) -> tuple[TestResult, ...]:
 
 
 def min_pass_count(s: int) -> int:
-    """Smallest number of passing sequences the proportion rule accepts."""
+    """Smallest number of passing sequences the proportion rule accepts:
+    SP 800-22 section 4.2.1 rejects a proportion below
+    1 - ALPHA - 3 sqrt(ALPHA (1 - ALPHA) / s), so this is the ceiling of
+    s times that bound (1 of 1, 9 of 10, 15 of 16, 981 of 1000)."""
     if s < 1:
         raise ValueError("need at least one sequence")
     threshold = (1.0 - ALPHA) - 3.0 * math.sqrt(ALPHA * (1.0 - ALPHA) / s)
-    return max(0, math.floor(s * threshold))
+    return math.ceil(s * threshold)
 
 
 def uniformity_p_value(p_values: np.ndarray) -> float:

@@ -8,6 +8,7 @@ reference for the package's sum, which skips terms that are exactly zero.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 
@@ -172,9 +173,16 @@ def ref_approximate_entropy(bits: str, m: int) -> tuple[float, float]:
     return chi, ref_igamc(2 ** (m - 1), chi / 2.0)
 
 
-def ref_min_pass(s: int, alpha: float) -> int:
-    threshold = (1.0 - alpha) - 3.0 * math.sqrt(alpha * (1.0 - alpha) / s)
-    return max(0, math.floor(s * threshold))
+def ref_min_pass(s: int, alpha: Fraction = Fraction(1, 100)) -> int:
+    """Fewest passes k of s that SP 800-22 section 4.2.1 accepts, found by
+    counting up in exact arithmetic: with p = 1 - alpha, k/s is rejected
+    while s p - k > 0 and (s p - k)**2 > 9 s p (1 - p), that is, while k/s
+    lies below p - 3 sqrt(p (1 - p) / s)."""
+    p = 1 - alpha
+    k = 0
+    while s * p - k > 0 and (s * p - k) ** 2 > 9 * s * p * (1 - p):
+        k += 1
+    return k
 
 
 def ref_uniformity(p_values: list[float]) -> float:

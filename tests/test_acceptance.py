@@ -25,7 +25,7 @@ from mramtrng.device import (
     fold_campaigns,
     measure,
 )
-from mramtrng.extract import Bitstream, condition, harvest_rounds, plan_harvest, required_rounds
+from mramtrng.extract import B_LEN, digest_blocks, harvest_rounds, plan_harvest, required_rounds
 from mramtrng.sts import (
     approximate_entropy,
     block_frequency,
@@ -84,12 +84,16 @@ def selection(calibrated):
     return select_cells(folds[HARVEST_TW_NS].flip_counts, N_ROUNDS, SelectionThresholds(th_l=15))
 
 
+def _unpack(data: bytes) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).view(bool)
+
+
 @pytest.fixture(scope="module")
 def conditioned_streams(calibrated, selection):
     chip, _, _ = calibrated
     rounds = required_rounds(STREAMS * STREAM_BITS, selection.num_randcell)
     raw = harvest_rounds(plan_harvest(chip, selection, TimingParams(HARVEST_TW_NS)), rounds)
-    bits = condition(raw).bits
+    bits = _unpack(digest_blocks(np.packbits(raw[: raw.size // B_LEN * B_LEN]).tobytes()))
     return [bits[i * STREAM_BITS : (i + 1) * STREAM_BITS] for i in range(STREAMS)]
 
 
@@ -202,17 +206,16 @@ def test_criterion_5_sha256_and_length_law():
         ).hexdigest() == SHA256_TWO_BLOCK
     )
     # the pipeline's conditioner must route through that same primitive
-    block_bits = np.unpackbits(np.frombuffer(b"a" * 64, dtype=np.uint8)).astype(bool)
-    out = condition(Bitstream(bits=block_bits, kind="raw"))
-    primitive_ok = np.packbits(out.bits).tobytes() == hashlib.sha256(b"a" * 64).digest()
+    primitive_ok = digest_blocks(b"a" * 64) == hashlib.sha256(b"a" * 64).digest()
 
     rng = np.random.default_rng(505)
     law_failures = 0
     for _ in range(100):
         n_raw = int(rng.integers(0, 5000))
-        raw = Bitstream(bits=rng.random(n_raw) < 0.5, kind="raw")
+        raw = rng.random(n_raw) < 0.5
         expect = (n_raw // 512) * 256  # 512 raw bits in, one 256-bit digest out
-        if len(condition(raw)) != expect:
+        # whole bytes in, as generate packs them; digest_blocks drops the partial block
+        if len(_unpack(digest_blocks(np.packbits(raw[: n_raw // 8 * 8]).tobytes()))) != expect:
             law_failures += 1
     ok = vectors_ok and primitive_ok and law_failures == 0
     _verdict(
@@ -286,11 +289,11 @@ def test_criterion_6b_conditioned_streams_pass(conditioned_streams):
     summary = run_battery(conditioned_streams)
     worst_prop = min(t.n_passed for t in summary.subtests)
     worst_unif = min(t.uniformity_p for t in summary.subtests)
-    ok = summary.verdict and worst_prop >= 18 and worst_unif >= 0.0001
+    ok = summary.verdict and worst_prop >= 19 and worst_unif >= 0.0001
     _verdict(
         6,
         ok,
-        f"6b: 20x100k-bit streams, worst proportion {worst_prop}/20 (need 18), "
+        f"6b: 20x100k-bit streams, worst proportion {worst_prop}/20 (need 19), "
         f"worst uniformity {worst_unif:.4f} (need 0.0001)",
     )
 

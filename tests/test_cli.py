@@ -14,6 +14,7 @@ import pytest
 from conftest import bits_file, de_bruijn, small_config
 from mramtrng import characterize, cli
 from mramtrng.device import default_config, load_chip
+from mramtrng.sts import run_battery
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +439,16 @@ def test_bad_later_stream_exits_2_with_no_report(tmp_path, capsys):
     assert "battery" not in captured.out and "truncated bitstream file" in captured.err
 
 
+def test_zero_bit_stream_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.bits"
+    path.write_bytes(bits_file(np.zeros(0, dtype=bool)))
+    assert cli.main(["test", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "battery" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and str(path) in err[0] and "no bits in file" in err[0], err
+
+
 def test_battery_failure_exits_4(tmp_path, capsys):
     zeros = tmp_path / "zeros.txt"
     zeros.write_text("0" * 20000)
@@ -566,6 +577,26 @@ def test_pipeline_empty_selection_exits_3(config_file, tmp_path, capsys):
     assert not (out / "selection.mrsl").exists()
 
 
+@pytest.mark.parametrize("bits", ["20000", "250000"])
+def test_pipeline_battery_grades_cut_sequences(config_file, tmp_path, bits):
+    """battery.txt is the battery over conditioned.bits cut into 100 kbit
+    sequences, the partial tail dropped, or over all of it as one sequence
+    when it is shorter; the exit code follows the verdict."""
+    out = tmp_path / "run"
+    rc = cli.main(["pipeline", "--config", str(config_file), "--seed", "7", "--bits", bits, "--out", str(out)])
+    data = (out / "conditioned.bits").read_bytes()
+    (n_bits,) = struct.unpack("<Q", data[:8])
+    conditioned = np.unpackbits(np.frombuffer(data[8:], dtype=np.uint8), count=n_bits).view(bool)
+    step = min(cli.PIPELINE_STREAM_BITS, n_bits)
+    sequences = [conditioned[i : i + step] for i in range(0, n_bits - step + 1, step)]
+    # a partial tail in the larger case, one short sequence in the smaller
+    assert (len(sequences), n_bits % step != 0) == {"20000": (1, False), "250000": (2, True)}[bits]
+    summary = run_battery(sequences)
+    body = [ln for ln in (out / "battery.txt").read_text().splitlines() if not ln.startswith("#")]
+    assert body == summary.report().splitlines()
+    assert rc == (cli.EXIT_OK if summary.verdict else cli.EXIT_BATTERY_FAIL)
+
+
 def test_pipeline_csv_format(config_file, tmp_path):
     out = tmp_path / "run"
     rc = cli.main([
@@ -586,7 +617,7 @@ PIPELINE_GOLDEN_SHA256 = {
     "raw.bits": "582bd3a67a1adc570965d7596ac74014484b9d459199bb1e94c52d6fa18a4b39",
     "conditioned.bits": "f20bcb1097121da1728d8a8377c1b981a451efd2d72b9aeddcddd3696515505e",
     "provenance.json": "c4b1916d706cf6030c4918817cfc39dc04c6a92c8c474acf1ac20b52131c734a",
-    "battery.txt": "a8f9eaee5c12389ac6a831e5b2b4883b16382b61e9eeb2348df09eeea3100731",
+    "battery.txt": "ef2ca83cbd4c4e1c3a0fe6b9c8fc409d294ff60c98ae1acc089e43405465ef0d",
     "throughput.txt": "747f487461c088ed63366fdbb2cc8b3a4d6748afc21d2b9d6b03237092d09fc4",
 }
 
@@ -634,8 +665,9 @@ def test_traced_benchmark_run_installs(config_file, tmp_path):
 def test_traced_run_with_fold_workers_matches_untraced(tmp_path):
     """A recipe of 4,096 addresses spans two fold blocks, so where a second
     CPU is usable the fold forks a worker under the span wrappers; the traced
-    run still exits 0, records the sweep and the harvest, and writes the
-    bytes of an untraced run."""
+    run still ends as the untraced one does, records the sweep and the
+    harvest, and writes the bytes of an untraced run.  Both exit 4: the one
+    20,224-bit sequence fails Runs, and one sequence must pass each subtest."""
     root = Path(__file__).resolve().parents[1]
     config = tmp_path / "chip.json"
     config.write_text(json.dumps(small_config(4096).to_dict()), encoding="utf-8")
@@ -646,9 +678,9 @@ def test_traced_run_with_fold_workers_matches_untraced(tmp_path):
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(result.read_text())
-    assert traced["code"] == 0
+    assert traced["code"] == cli.EXIT_BATTERY_FAIL
     assert {"characterize.sweep_tw", "extract.harvest_rounds"} <= {span[0] for span in traced["spans"]}
-    assert cli.main([*args, str(plain_out)]) == 0
+    assert cli.main([*args, str(plain_out)]) == cli.EXIT_BATTERY_FAIL
     names = sorted(p.name for p in plain_out.iterdir())
     assert names == sorted(p.name for p in traced_out.iterdir())
     for name in names:

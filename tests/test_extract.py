@@ -1,4 +1,5 @@
-"""Harvest ordering, conditioning vectors, length law and stream files."""
+"""Harvest ordering, conditioning vectors, length law and the stream
+file reader."""
 
 import dataclasses
 import hashlib
@@ -13,11 +14,11 @@ from mramtrng.device import Environment, TimingParams, measure
 from mramtrng.extract import (
     B_LEN,
     D_LEN,
-    Bitstream,
-    condition,
+    digest_blocks,
+    harvest_provenance,
     harvest_rounds,
-    load_bitstream,
     plan_harvest,
+    read_bitstream,
     required_rounds,
 )
 from mramtrng.sts import export_sts, import_sts
@@ -30,6 +31,14 @@ SHA256_MILLION_A = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc711
 
 def _bits_of_bytes(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).astype(bool)
+
+
+def _condition(bits: np.ndarray) -> np.ndarray:
+    """``bits`` conditioned as generate conditions them: the whole bytes
+    packed MSB first, hashed by digest_blocks (which drops a partial
+    block), and unpacked."""
+    packed = np.packbits(bits[: len(bits) // 8 * 8]).tobytes()
+    return np.unpackbits(np.frombuffer(digest_blocks(packed), dtype=np.uint8)).view(bool)
 
 
 def _oracle_condition(bits: np.ndarray, b_len: int = 512) -> np.ndarray:
@@ -56,10 +65,10 @@ def test_conditioning_hash_matches_fips_vectors():
 
 def test_condition_one_block_equals_direct_hash():
     # a 512-bit raw block of the ASCII bytes of 64 'a's hashes like those bytes
-    raw = Bitstream(_bits_of_bytes(b"a" * 64))
-    cond = condition(raw)
+    cond = _condition(_bits_of_bytes(b"a" * 64))
     assert len(cond) == 256
-    assert np.packbits(cond.bits).tobytes() == hashlib.sha256(b"a" * 64).digest()
+    assert np.packbits(cond).tobytes() == hashlib.sha256(b"a" * 64).digest()
+    assert digest_blocks(b"a" * 64) == hashlib.sha256(b"a" * 64).digest()
 
 
 def test_condition_matches_independent_oracle():
@@ -67,49 +76,33 @@ def test_condition_matches_independent_oracle():
     for _ in range(20):
         n = int(rng.integers(0, 4000))
         bits = rng.random(n) < 0.5
-        got = condition(Bitstream(bits)).bits
-        assert np.array_equal(got, _oracle_condition(bits))
+        assert np.array_equal(_condition(bits), _oracle_condition(bits))
 
 
 def test_condition_length_law():
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(0, 10_000))
-        raw = Bitstream(rng.random(n) < 0.5)
-        cond = condition(raw)
-        assert len(cond) == (n // 512) * 256
-        assert cond.kind == "conditioned"
+        assert len(_condition(rng.random(n) < 0.5)) == (n // 512) * 256
 
 
 def test_condition_avalanche():
     # flipping one raw bit rewrites only that block's digest, about half its bits
     rng = np.random.default_rng(6)
     base = rng.random(2048) < 0.5  # 4 blocks
-    ref = condition(Bitstream(base.copy())).bits
+    ref = _condition(base)
     diffs = []
     for _ in range(60):
         pos = int(rng.integers(0, 2048))
         mutated = base.copy()
         mutated[pos] = ~mutated[pos]
-        out = condition(Bitstream(mutated)).bits
+        out = _condition(mutated)
         block = pos // 512
         changed = np.flatnonzero(out != ref)
         assert changed.size > 0
         assert np.all((changed >= block * 256) & (changed < (block + 1) * 256))
         diffs.append(changed.size)
     assert 112 <= np.mean(diffs) <= 144  # 128 +/- 16
-
-
-def test_condition_rejects_non_raw():
-    cond = condition(Bitstream(np.zeros(512, dtype=bool)))
-    with pytest.raises(ValueError):
-        condition(cond)
-
-
-def test_conditioned_length_invariant():
-    with pytest.raises(ValueError):
-        Bitstream(np.zeros(100, dtype=bool), kind="conditioned")
-    Bitstream(np.zeros(512, dtype=bool), kind="conditioned")
 
 
 def test_required_rounds_reference_case():
@@ -182,10 +175,10 @@ def _case(sel, name):
 def test_harvest_order_is_round_major_then_cell(chip_and_selection, name):
     chip, full_sel = chip_and_selection
     sel, rounds, start, timing, env = _case(full_sel, name)
-    bs = harvest_rounds(plan_harvest(chip, sel, timing, env), rounds, start)
+    bits = harvest_rounds(plan_harvest(chip, sel, timing, env), rounds, start)
     ref = measure(chip, timing, env, n=rounds, start_round=start, cell_indices=sel.cell_indices)
-    assert np.array_equal(bs.bits, ref.bits.reshape(-1))
-    assert len(bs) == rounds * sel.num_randcell
+    assert bits.dtype == bool and np.array_equal(bits, ref.bits.reshape(-1))
+    assert len(bits) == rounds * sel.num_randcell
     # the cases reach what they are named for
     if name in ("checkerboard", "random"):
         assert 0 < sel.num_randcell < full_sel.num_randcell
@@ -203,9 +196,9 @@ def test_harvest_order_is_round_major_then_cell(chip_and_selection, name):
 def test_harvest_subset_equals_full_array_columns(chip_and_selection, name):
     chip, sel = chip_and_selection
     sel, rounds, start, timing, env = _case(sel, name)
-    bs = harvest_rounds(plan_harvest(chip, sel, timing, env), rounds, start)
+    bits = harvest_rounds(plan_harvest(chip, sel, timing, env), rounds, start)
     full = measure(chip, timing, env, n=rounds, start_round=start)
-    assert np.array_equal(bs.bits.reshape(rounds, -1), full.bits[:, sel.cell_indices])
+    assert np.array_equal(bits.reshape(rounds, -1), full.bits[:, sel.cell_indices])
 
 
 def test_harvest_rounds_validation(chip_and_selection):
@@ -222,11 +215,15 @@ def test_harvest_provenance_and_determinism(chip_and_selection):
     timing = TimingParams(2.5)
     a = harvest_rounds(plan_harvest(chip, sel, timing), 3)
     b = harvest_rounds(plan_harvest(chip, sel, timing), 3)
-    assert np.array_equal(a.bits, b.bits)
-    for key in ("chip_id", "seed", "t_w_ns", "selection_sha256", "rounds", "num_randcell"):
-        assert key in a.provenance
-    assert a.provenance["t_w_ns"] == 2.5
-    assert a.kind == "raw"
+    assert np.array_equal(a, b)
+    prov = harvest_provenance(chip, sel, timing, Environment(field_mt=5.0), 3)
+    assert list(prov) == [
+        "chip_id", "seed", "t_w_ns", "pattern", "env", "rounds", "start_round",
+        "num_randcell", "selection_sha256", "b_len", "d_len", "raw_bits",
+    ]
+    assert (prov["t_w_ns"], prov["rounds"], prov["start_round"]) == (2.5, 3, 0)
+    assert prov["env"] == {"temperature_c": 26.0, "field_mt": 5.0, "field_axis": "+z"}
+    assert prov["raw_bits"] == 3 * sel.num_randcell == 3 * prov["num_randcell"]
 
 
 def test_harvest_rejects_empty_selection(chip_and_selection):
@@ -239,32 +236,72 @@ def test_harvest_rejects_empty_selection(chip_and_selection):
 # --- stream files ----------------------------------------------------------
 
 
+def _read(path, length=None):
+    return list(read_bitstream(path, length))
+
+
 def test_bitstream_binary_roundtrip(tmp_path):
+    """By default a file is read whole, as one sequence."""
     rng = np.random.default_rng(9)
-    for n in (0, 1, 7, 8, 9, 513, 4099):
+    for n in (1, 7, 8, 9, 513, 4099):
         bits = rng.random(n) < 0.5
         p = tmp_path / f"s{n}.bits"
         p.write_bytes(bits_file(bits))
-        again = load_bitstream(p)
-        assert np.array_equal(again.bits, bits)
+        (again,) = _read(p)
+        assert np.array_equal(again, bits)
 
 
 def test_bitstream_binary_truncation_detected(tmp_path):
+    """A bad header or file size raises before the first sequence."""
     p = tmp_path / "s.bits"
-    p.write_bytes(bits_file(np.ones(1000, dtype=bool)))
-    data = p.read_bytes()
-    p.write_bytes(data[:40])
-    with pytest.raises(ValueError, match="truncated"):
-        load_bitstream(p)
-    p.write_bytes(b"\x01")
-    with pytest.raises(ValueError, match="truncated"):
-        load_bitstream(p)
+    good = bits_file(np.ones(1000, dtype=bool))
+    for data, message in (
+        (good[:40], "truncated bitstream file"),
+        (b"\x01", "truncated bitstream file"),
+        (good + b"\x00", "longer than its header says"),
+        (struct.pack("<Q", 0), "no bits in file"),
+        (struct.pack("<Q", 0) + b"\x00", "longer than its header says"),
+    ):
+        p.write_bytes(data)
+        sequences = read_bitstream(p, 8)
+        with pytest.raises(ValueError, match=message) as exc:
+            next(sequences)
+        assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 513, 4099, 20_000])
+@pytest.mark.parametrize("length", [1, 3, 8, 13, 64, 1000, 4099])
+def test_reader_yields_the_consecutive_sequences(tmp_path, n_bits, length):
+    """Every whole ``length``-bit sequence, cut from np.unpackbits of the
+    file's payload; a trailing part shorter than ``length`` is not yielded."""
+    bits = np.random.default_rng(n_bits).random(n_bits) < 0.5
+    p = tmp_path / "s.bits"
+    p.write_bytes(bits_file(bits))
+    ref = np.unpackbits(np.frombuffer(p.read_bytes()[8:], dtype=np.uint8), count=n_bits).view(bool)
+    want = [ref[i : i + length] for i in range(0, n_bits - length + 1, length)]
+    got = _read(p, length)
+    assert len(got) == n_bits // length
+    assert all(g.dtype == bool and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_reader_reads_one_sequence_at_a_time(tmp_path, monkeypatch):
+    """A sequence is read from the file only when it is taken."""
+    p = tmp_path / "s.bits"
+    p.write_bytes(bits_file(np.random.default_rng(2).random(80_000) < 0.5))
+    reads = []
+    unpack = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits", lambda a, *args, **kw: reads.append(a.size) or unpack(a, *args, **kw))
+    sequences = read_bitstream(p, 10_000)
+    assert reads == []
+    next(sequences)
+    next(sequences)
+    assert reads == [1250, 1250]
 
 
 def test_bitstream_ascii_roundtrip(tmp_path):
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
     p = tmp_path / "s.txt"
-    export_sts(Bitstream(bits).bits, p)
+    export_sts(bits, p)
     assert p.read_text().strip() == "10110010111"
     p.write_text(p.read_text() + "\n")
     again = import_sts(p)
@@ -281,4 +318,5 @@ def test_bitstream_ascii_rejects_junk(tmp_path):
 def test_msb_first_packing(tmp_path):
     p = tmp_path / "s.bits"
     p.write_bytes(struct.pack("<Q", 9) + bytes([0b1000_0001, 0b1000_0000]))
-    assert load_bitstream(p).bits.tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 1]
+    assert _read(p)[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 1]
+    assert [s.tolist() for s in _read(p, 4)] == [[1, 0, 0, 0], [0, 0, 0, 1]]

@@ -15,7 +15,7 @@ from conftest import small_config
 from mramtrng import cli
 from mramtrng.characterize import load_selection
 from mramtrng.device import ChipConfig, load_chip
-from mramtrng.extract import load_bitstream
+from mramtrng.extract import read_bitstream
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_EMPTY_SELECTION, cli.EXIT_BATTERY_FAIL, cli.EXIT_IO}
 HEADER_BYTES = 64  # flips land here half the time: the headers hold the counts
@@ -53,7 +53,7 @@ def _load(name, path):
         return load_chip(path)
     if name == "sel.mrsl":
         return load_selection(path, 256)
-    return load_bitstream(path, kind="conditioned")
+    return list(read_bitstream(path))
 
 
 def _cli_args(name, d, bad):

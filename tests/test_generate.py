@@ -1,8 +1,10 @@
 """Streaming generation: the harvest's units give the bytes of a one-shot
 harvest for any unit size and process count, a failing process leaves no
-overlong file, and memory does not grow with the number of bits asked for."""
+overlong file, memory does not grow with the number of bits asked for, and
+the benchmark's grade workload runs on what generate writes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -15,13 +17,7 @@ from conftest import bits_file, first_cells
 from mramtrng import cli, device
 from mramtrng.characterize import save_selection
 from mramtrng.device import Environment, TimingParams, save_chip
-from mramtrng.extract import (
-    condition,
-    harvest_rounds,
-    load_bitstream,
-    plan_harvest,
-    required_rounds,
-)
+from mramtrng.extract import B_LEN, digest_blocks, harvest_rounds, plan_harvest, required_rounds
 
 BITS = 5000  # 20 conditioned blocks, 10,240 raw bits needed
 FILES = ("raw.bits", "conditioned.bits", "provenance.json")
@@ -53,21 +49,41 @@ def _units(cells, unit_bits):
     return -(-raw_bits // unit_bits), raw_bits % unit_bits != 0
 
 
+# SHA-256 of provenance.json for each case: the record's values and key
+# order, which perfbench/run.py and other readers of the file rely on
+PROVENANCE_SHA256 = {
+    1: "51eec11ceb484f02902fcb28b0345806d5835c1d6b3015a0b99e13d86b96cee8",
+    101: "c85d215eb6c082bcc31ed2abb0fe65554c8a87450ce8e6092f4508e7b6dfbad9",
+    104: "765b63b0864062c89c9d4466450449d2d66aced548ea6d7c89243047ccc030f5",
+    128: "f55177e1ae890f7320e4ba02160947cf687c8564e61ffe7a4d359c495a6421be",
+    827: "365164c7644bc86b04ec2fe2d163151cda7dd142b2961c9f5cba4a6f1a987148",
+    WIDE: "3eca770e9f7de45984377ad72c3f8b1d9b293a703f244a6d4ec213c43f8866e2",
+}
+
+
+def _header_bits(path):
+    return struct.unpack("<Q", path.read_bytes()[:8])[0]
+
+
 # 1 cell: every unit spans many rounds; 101 cells: raw bits not a multiple
 # of 8; 104: a multiple of 8 but not of 512; 128: a multiple of 512, so no
-# partial block is left at the end; WIDE: rounds longer than a unit
-@pytest.mark.parametrize("cells", [1, 101, 104, 128, WIDE])
+# partial block is left at the end; 827: the raw bits end 511 bits into a
+# block, so the zero-padded last byte would complete it; WIDE: rounds
+# longer than a unit
+@pytest.mark.parametrize("cells", [1, 101, 104, 128, 827, WIDE])
 def test_chunked_output_equals_one_shot(monkeypatch, small_chip, small_selection, tmp_path, cells):
     sel = _selection(small_chip, small_selection, cells)
     rounds = required_rounds(BITS, cells)
     raw_bits = rounds * cells
     assert (raw_bits % 8 != 0, raw_bits % 512 != 0) == {
-        1: (False, False), 101: (True, True), 104: (False, True), 128: (False, False), WIDE: (False, True)
+        1: (False, False), 101: (True, True), 104: (False, True), 128: (False, False), 827: (True, True),
+        WIDE: (False, True),
     }[cells]
+    assert cells != 827 or raw_bits % 512 == 511
     # odd and even unit counts, with and without a short last unit
-    assert {1: (20, False), 101: (21, True), 104: (21, True), 128: (20, False), WIDE: (24, True)}[cells] == _units(
-        cells, UNIT
-    )
+    assert {1: (20, False), 101: (21, True), 104: (21, True), 128: (20, False), 827: (21, True), WIDE: (24, True)}[
+        cells
+    ] == _units(cells, UNIT)
 
     runs = {}
     for workers in (1, 2, 3):
@@ -78,25 +94,34 @@ def test_chunked_output_equals_one_shot(monkeypatch, small_chip, small_selection
         assert files == runs[1, None]
 
     raw = harvest_rounds(plan_harvest(small_chip, sel, TimingParams(2.5), Environment()), rounds)
-    conditioned = condition(raw)
-    assert runs[1, None]["raw.bits"] == bits_file(raw.bits)
-    assert runs[1, None]["conditioned.bits"] == bits_file(conditioned.bits)
-    assert json.loads(runs[1, None]["provenance.json"]) == {
-        "kind": "conditioned",
-        "bits": len(conditioned),
-        "provenance": conditioned.provenance,
-    }
-    assert np.array_equal(load_bitstream(tmp_path / "w3-u512" / "raw.bits").bits, raw.bits)
+    digests = digest_blocks(np.packbits(raw[: raw_bits // B_LEN * B_LEN]).tobytes())
+    conditioned = np.unpackbits(np.frombuffer(digests, dtype=np.uint8)).view(bool)
+    assert runs[1, None]["raw.bits"] == bits_file(raw)
+    assert runs[1, None]["conditioned.bits"] == bits_file(conditioned)
+    assert hashlib.sha256(runs[1, None]["provenance.json"]).hexdigest() == PROVENANCE_SHA256[cells]
+    record = json.loads(runs[1, None]["provenance.json"])
+    assert (record["bits"], record["provenance"]["raw_bits"]) == (len(conditioned), raw_bits)
 
 
-def test_grade_preparation_shape_equals_one_process(monkeypatch, tmp_path):
+@pytest.fixture(scope="module")
+def default_chip_files(tmp_path_factory):
+    """The seed-7 default chip and its `characterize` selection, on disk."""
+    d = tmp_path_factory.mktemp("default")
+    chip, sel = str(d / "chip.mrtg"), str(d / "sel.mrsl")
+    assert cli.main(["chip", "--seed", "7", "--out", chip]) == 0
+    assert cli.main(["characterize", chip, "--out", sel]) == 0
+    return chip, sel
+
+
+GRADE_STREAMS, GRADE_STREAM_BITS = 16, 1_000_000
+
+
+def test_grade_preparation_shape_equals_one_process(monkeypatch, tmp_path, default_chip_files):
     """`generate --bits 16000000` from the seed-7 default chip and its
     `characterize` selection, the input preparation of the benchmark's grade
     workload: 16 units, written by three processes as by one, also through
     pipes of one page, which take a unit's 384 KB in many turns."""
-    chip, sel = str(tmp_path / "chip.mrtg"), str(tmp_path / "sel.mrsl")
-    assert cli.main(["chip", "--seed", "7", "--out", chip]) == 0
-    assert cli.main(["characterize", chip, "--out", sel]) == 0
+    chip, sel = default_chip_files
     outs = []
     for workers, pipe_bytes in ((1, device._PIPE_BYTES), (3, device._PIPE_BYTES), (3, 4096)):
         _workers(monkeypatch, workers)
@@ -105,9 +130,32 @@ def test_grade_preparation_shape_equals_one_process(monkeypatch, tmp_path):
         assert cli.main(["generate", chip, sel, "--bits", "16000000", "--out", str(outs[-1])]) == 0
     for name in FILES:
         assert all((out / name).read_bytes() == (outs[0] / name).read_bytes() for out in outs[1:]), name
-    assert len(load_bitstream(outs[1] / "conditioned.bits", kind="conditioned")) >= 16_000_000
-    raw_bits = len(load_bitstream(outs[1] / "raw.bits"))
-    assert -(-raw_bits // cli.HARVEST_CHUNK_BITS) == 16
+    assert _header_bits(outs[1] / "conditioned.bits") >= GRADE_STREAMS * GRADE_STREAM_BITS
+    assert -(-_header_bits(outs[1] / "raw.bits") // cli.HARVEST_CHUNK_BITS) == 16
+
+
+def test_grade_workload_grades_each_file_as_one_sequence(tmp_path, default_chip_files):
+    """The benchmark's grade workload: 16 Mbit of generate output cut into
+    16 files of 1 Mbit, as perfbench/run.py cuts them, graded by `test` into
+    nine report rows of five fields, each reading k/16 and a uniformity."""
+    chip, sel = default_chip_files
+    gen = tmp_path / "gen"
+    assert cli.main(["generate", chip, sel, "--bits", str(GRADE_STREAMS * GRADE_STREAM_BITS), "--out", str(gen)]) == 0
+    payload, step = (gen / "conditioned.bits").read_bytes()[8:], GRADE_STREAM_BITS // 8
+    files = []
+    for i in range(GRADE_STREAMS):
+        files.append(tmp_path / f"stream{i:02d}.bits")
+        files[-1].write_bytes(struct.pack("<Q", GRADE_STREAM_BITS) + payload[i * step : (i + 1) * step])
+    report = tmp_path / "report.txt"
+    assert cli.main(["test", *map(str, files), "--out", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert lines[0] == f"battery: {GRADE_STREAMS} sequences x {GRADE_STREAM_BITS} bits, alpha=0.01"
+    rows = [ln.split() for ln in lines if len(ln.split()) == 5 and "/" in ln.split()[1]]
+    assert len(rows) == 9
+    for name, prop, min_pass, uniformity, verdict in rows:
+        passed, total = map(int, prop.split("/"))
+        assert total == GRADE_STREAMS and passed >= int(min_pass) == 15, name
+        assert 0.0 <= float(uniformity) <= 1.0 and verdict == "pass", name
 
 
 # --- failing processes ----------------------------------------------------------

@@ -470,10 +470,14 @@ def test_p_values_in_unit_interval():
 
 
 def test_min_pass_count_reference_points():
-    assert min_pass_count(20) == 18
-    assert min_pass_count(1000) == 980
-    for s in (1, 2, 7, 20, 55, 300, 1000):
-        assert min_pass_count(s) == ref.ref_min_pass(s, 0.01)
+    # the ceiling of SP 800-22's bound: one sequence must pass, and 14 of 16
+    # (0.875, below the bound 0.9154) fails
+    for s, want in ((1, 1), (10, 9), (16, 15), (20, 19), (100, 97), (1000, 981)):
+        assert min_pass_count(s) == want
+    # 2816 is the smallest s whose bound is whole (2772), so its ceiling adds nothing
+    for s in (1, 2, 7, 10, 16, 20, 55, 100, 300, 1000, 2816):
+        assert min_pass_count(s) == ref.ref_min_pass(s)
+    assert ref.ref_min_pass(2816) == 2772
     with pytest.raises(ValueError):
         min_pass_count(0)
 
@@ -504,8 +508,8 @@ def test_battery_on_prng_streams_passes():
     assert summary.verdict
     assert summary.n_sequences == 20 and summary.sequence_length == 100_000
     for t in summary.subtests:
-        assert t.min_pass == 18
-        assert t.n_passed >= 18
+        assert t.min_pass == 19
+        assert t.n_passed >= 19
         assert t.uniformity_p >= 0.0001
     assert tuple(t.name for t in summary.subtests) == SUBTEST_NAMES
 
