@@ -43,7 +43,6 @@ from .device import (
     ChipModel,
     Environment,
     TimingParams,
-    _forked,
     create_chip,
     default_config,
     fold_campaigns,
@@ -62,7 +61,8 @@ from .extract import (
     required_rounds,
     save_provenance,
 )
-from .sts import import_sts, run_battery
+from .parallel import forked
+from .sts import MAX_STREAM_BITS, import_sts, run_battery
 from .throughput import (
     REFERENCE_T_HASH_NS,
     REFERENCE_T_RW_NS,
@@ -267,11 +267,12 @@ def _generate_into(
     The raw stream is cut into units of ``unit_bits`` raw bits, a whole
     number of B_LEN-bit blocks (by default HARVEST_CHUNK_BITS, or more when
     one round has more cells), and the units are shared between processes
-    (device._forked).  A unit draws the rounds it overlaps, keeps its own
-    bits, packs them, and hashes its whole blocks with digest_blocks; only
-    the last unit can end in a partial byte or block, which goes to
-    raw.bits and is not conditioned.  The files are the same bytes for any
-    unit size and process count.  Both headers are written first, since the
+    (parallel.forked).  A unit draws the rounds it overlaps, keeps its own
+    bits, packs them, hashes its whole blocks with digest_blocks, and
+    returns both, which this process writes in unit order; only the last
+    unit can end in a partial byte or block, which goes to raw.bits and is
+    not conditioned.  The files are the same bytes for any unit size and
+    process count.  Both headers are written first, since the
     bit counts follow from ``bits`` and the selection, and the provenance
     record is built once, at the end.
     """
@@ -283,24 +284,17 @@ def _generate_into(
         unit_bits = max(HARVEST_CHUNK_BITS, -(-cells // B_LEN) * B_LEN)
     plan = plan_harvest(chip, sel, timing, env)
 
-    def span(u: int) -> tuple[int, int]:
-        return u * unit_bits, min((u + 1) * unit_bits, raw_bits)
-
-    def harvest_unit(u: int) -> list:
-        lo, hi = span(u)
+    def harvest_unit(u: int) -> tuple[np.ndarray, bytes]:
+        lo, hi = u * unit_bits, min((u + 1) * unit_bits, raw_bits)
         first = lo // cells
         drawn = harvest_rounds(plan, -(-hi // cells) - first, start_round=first)
         packed = np.packbits(drawn[lo - first * cells : hi - first * cells])
         # whole bytes only: a zero-padded last byte must not complete a block
-        return [packed, digest_blocks(packed[: (hi - lo) // 8])]
-
-    def unit_buffers(u: int) -> list[np.ndarray]:
-        lo, hi = span(u)
-        return [np.empty(-(-(hi - lo) // 8), np.uint8), np.empty((hi - lo) // B_LEN * D_LEN // 8, np.uint8)]
+        return packed, digest_blocks(packed[: (hi - lo) // 8])
 
     units = range(-(-raw_bits // unit_bits))
     # fork first: a worker must not inherit the files' buffered writers
-    with _forked(units, harvest_unit, unit_buffers) as results, open_bitstream(
+    with forked(units, harvest_unit) as results, open_bitstream(
         out / "raw.bits", raw_bits
     ) as raw_fh, open_bitstream(out / "conditioned.bits", cond_bits) as cond_fh:
         for packed, digests in results:
@@ -557,7 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("test", help="run the statistical battery over bitstream files")
-    p.add_argument("streams", nargs="+", help="bitstream files (.bits/.bin binary, else ASCII)")
+    p.add_argument(
+        "streams",
+        nargs="+",
+        help=f"bitstream files (.bits/.bin binary, else ASCII), each one sequence of at most {MAX_STREAM_BITS} "
+        f"bits (ASCII: bytes); the 200005254-bit raw.bits of generate --bits {MAX_BITS} from the seed-7 "
+        f"default chip took 6.6-7.5 s and 2.3 GB of memory on 2 CPUs",
+    )
     _add_common(p, "out", "format")
     p.set_defaults(func=cmd_test)
 

@@ -32,17 +32,16 @@ stored bits and is an immutable value, which no campaign changes.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
 import struct
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .parallel import forked
 from .rng import CounterRng, draw_rows, draw_threshold, draws
 
 WORD_WIDTH = 16
@@ -63,6 +62,10 @@ _CHIP_VERSION = 1
 # the chip file holds the id length in a u16 and the address count in a u32
 _MAX_CHIP_ID_BYTES = 0xFFFF
 _MAX_ADDRESSES = 0xFFFFFFFF
+# rated maximum of a recipe's num_addresses, a 16 Mbit array (16 times the
+# default recipe): `chip` at this size took 4.0-4.6 s and 853 MB (see
+# README), and a larger one could exhaust memory while sampling
+MAX_ADDRESSES = 1 << 20
 
 _STREAM_TOGGLE = 0
 _STREAM_META = 1
@@ -72,13 +75,6 @@ _STREAM_VALUE = 2
 # draws stay in the CPU caches through all of the block's rounds instead of
 # streaming from memory every round (32K and 64K ran fastest on a 2 MB L2)
 _FOLD_BLOCK = 1 << 15
-
-# pipe buffer of a _forked worker, the default pipe-max-size of Linux: it
-# holds a whole job's result (a harvest unit's 384 KiB, a fold block's 256 KiB),
-# so a worker runs on instead of handing it over 64 KB at a time.  On 2 vCPU
-# with one CPU kept busy, `generate` of 32 Mbit took 1.29-1.38 s with it and
-# 1.33-2.00 s with the 64 KB default
-_PIPE_BYTES = 1 << 20
 
 # uint64 words per draw buffer of _readout_rows: a batch of rounds x cells
 # stays in the CPU caches through its three draws and its decision (at the
@@ -285,6 +281,8 @@ class ChipConfig:
             raise ValueError(f"recipe field chip_id must fit in {_MAX_CHIP_ID_BYTES} UTF-8 bytes, got {id_bytes}")
         if not 0 < self.num_addresses <= _MAX_ADDRESSES:
             raise ValueError(f"num_addresses must lie in [1, {_MAX_ADDRESSES}], got {self.num_addresses}")
+        if self.num_addresses > MAX_ADDRESSES:
+            raise ValueError(f"num_addresses {self.num_addresses} is above the rated maximum {MAX_ADDRESSES}")
         if not self.tau_components:
             raise ValueError("tau_components must not be empty")
         total = sum(c.weight for c in self.tau_components)
@@ -712,106 +710,6 @@ class CampaignFold:
         return self.errors / (self.n_measurements * self.num_cells)
 
 
-def _workers(jobs: int) -> int:
-    """Processes that share ``jobs`` jobs: one per usable CPU and at most one
-    per job; only the calling one without os.fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, jobs))
-
-
-def _pipe() -> tuple[int, int]:
-    """os.pipe(), with its buffer grown to _PIPE_BYTES where the platform
-    allows it."""
-    r, w = os.pipe()
-    import fcntl  # here: only a call that forks needs it
-
-    with contextlib.suppress(AttributeError, OSError):  # not Linux, or above the host's pipe-max-size
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    return r, w
-
-
-@contextlib.contextmanager
-def _forked(jobs: Sequence, run: Callable, buffers: Callable):
-    """Runs ``run(job)`` for every job across W = _workers(len(jobs))
-    processes and yields an iterator over the jobs' results, in job order.
-
-    ``run(job)`` returns the job's result as a list of buffers; job i runs
-    in process i mod W.  Process 0 is this one, which runs its jobs as the
-    iterator reaches them; each of W - 1 forked workers runs its jobs in
-    order and writes their buffers into a pipe, which this process reads
-    into ``buffers(job)``, empty arrays of the same sizes.  A worker runs
-    ahead of the reader only as far as its pipe's buffer (_PIPE_BYTES)
-    holds, so memory stays bounded.  Where os.fork fails, this process runs
-    that worker's jobs itself.
-
-    A worker leaves only through os._exit.  Short data or a non-zero exit
-    raises ChildProcessError; the workers are killed if the caller raises,
-    and always reaped.  Fork before opening any buffered writer: a worker
-    would hold a copy of its buffer.
-    """
-    workers = _workers(len(jobs))
-    children = {}  # process index -> (pid, read end of its pipe)
-
-    def results():
-        for k, job in enumerate(jobs):
-            if k % workers not in children:
-                yield run(job)
-                continue
-            pid, src = children[k % workers]
-            parts = buffers(job)
-            for buf in parts:
-                if src.readinto(buf) != buf.nbytes:
-                    raise ChildProcessError(f"worker {pid} sent short data")
-            yield parts
-
-    try:
-        for i in range(1, workers):
-            r, w = _pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one runs the rest
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                # the worker runs only its jobs and the pipe writes, and
-                # leaves through os._exit: no return into the caller, no
-                # stdio flush, no atexit handlers
-                status = 1
-                try:
-                    os.close(r)
-                    with open(w, "wb") as out:
-                        for job in jobs[i::workers]:
-                            for part in run(job):
-                                out.write(part)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children[i] = (pid, open(r, "rb"))
-        yield results()
-    except BaseException:
-        # imported here: at the top it would add about 1 ms and 0.1 MB to
-        # every CLI call for a path that runs only on failure
-        import signal
-
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = []
-        for pid, src in children.values():
-            src.close()
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    if any(codes):
-        raise ChildProcessError(f"worker exit codes {codes}")
-
-
 def fold_campaigns(
     chip: ChipModel,
     timings,
@@ -824,11 +722,11 @@ def fold_campaigns(
 
     The array is processed in blocks of _FOLD_BLOCK cells, all rounds of a
     block at a time, and the blocks are shared between processes by
-    _forked: a worker sends each block's error counts and slices back,
-    which this process reads into its own arrays.  A block derives its own
-    keys and writes only its own slices, and the counts are integer sums,
-    so the result does not depend on the number of processes.  Like
-    measure, it leaves the chip as it was.
+    parallel.forked: a block returns its error counts, flip counts and
+    round-0 errors, which this process copies into its own arrays.  A block
+    derives its own keys, and the counts are integer sums, so the result
+    does not depend on the number of processes.  Like measure, it leaves
+    the chip as it was.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n}")
@@ -838,41 +736,33 @@ def fold_campaigns(
     env = env or Environment()
 
     widths, m = len(timings), chip.num_cells
-    flips = np.zeros((widths, m), dtype=np.min_scalar_type(n - 1))
+    flips = np.empty((widths, m), dtype=np.min_scalar_type(n - 1))
     first = np.empty((widths, m), dtype=bool)
     round_keys = _round_keys(chip, np.arange(n))
 
-    def fold_block(lo: int) -> np.ndarray:
-        """Folds the block at ``lo`` into its slices of flips and first;
-        returns its error count per width."""
-        cells = slice(lo, lo + _FOLD_BLOCK)
+    def fold_block(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block at ``lo``, folded: its error count per width, and its
+        cells' flip counts and round-0 errors."""
         keys = chip.rng.cell_keys(np.arange(lo, min(lo + _FOLD_BLOCK, m)))
-        thresholds = _thresholds(chip, timings, env, cells)
-        block_flips = flips[:, cells]
+        thresholds = _thresholds(chip, timings, env, slice(lo, lo + _FOLD_BLOCK))
+        block_flips = np.zeros((widths, keys.size), dtype=flips.dtype)
         errors = np.zeros(widths, dtype=np.int64)
-        prev = first[:, cells] = _write_errors(keys, thresholds, round_keys[0])
+        block_first = prev = _write_errors(keys, thresholds, round_keys[0])
         errors += [np.count_nonzero(row) for row in prev]
         for rk in round_keys[1:]:
             cur = _write_errors(keys, thresholds, rk)
             errors += [np.count_nonzero(row) for row in cur]
-            prev ^= cur
-            block_flips += prev
+            block_flips += prev ^ cur
             prev = cur
-        return errors
-
-    def block_slices(lo: int) -> list[np.ndarray]:
-        """The contiguous slices that fold_block(lo) writes."""
-        cells = slice(lo, lo + _FOLD_BLOCK)
-        return [*flips[:, cells], *first[:, cells]]
+        return errors, block_flips, block_first
 
     errors = np.zeros(widths, dtype=np.int64)
-    with _forked(
-        range(0, m, _FOLD_BLOCK),
-        lambda lo: [fold_block(lo), *block_slices(lo)],
-        lambda lo: [np.empty(widths, dtype=np.int64), *block_slices(lo)],
-    ) as results:
-        for block_errors, *_ in results:
+    blocks = range(0, m, _FOLD_BLOCK)
+    with forked(blocks, fold_block) as results:
+        for lo, (block_errors, block_flips, block_first) in zip(blocks, results):
             errors += block_errors
+            flips[:, lo : lo + _FOLD_BLOCK] = block_flips
+            first[:, lo : lo + _FOLD_BLOCK] = block_first
     return [
         CampaignFold(
             t_w_ns=t.t_w_ns,

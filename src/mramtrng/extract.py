@@ -28,6 +28,7 @@ import numpy as np
 
 from .characterize import CellSelection, selection_digest
 from .device import ChipModel, Environment, TimingParams, _plan_readout, _Readout, _readout_rows
+from .sts import MAX_STREAM_BITS
 
 
 # conditioning geometry: raw bits in (whole bytes), SHA-256 digest bits out, per block
@@ -129,6 +130,8 @@ def read_bitstream(path: str | Path, length: int | None = None) -> Iterator[np.n
         if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated bitstream file")
         (n_bits,) = _HEADER.unpack(header)
+        if n_bits > MAX_STREAM_BITS:
+            raise ValueError(f"{path}: {n_bits} bits is above the rated maximum of {MAX_STREAM_BITS}")
         n_bytes, size = (n_bits + 7) // 8, os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != n_bytes:
             what = "truncated bitstream file" if size < n_bytes else "bitstream file longer than its header says"

@@ -30,6 +30,13 @@ from .special import erfc, igamc, normal_cdf
 ALPHA = 0.01
 UNIFORMITY_FLOOR = 0.0001
 
+# rated maximum of a stream file that `test` reads (a .bits header's bit
+# count, or an ASCII file's bytes), checked before the payload is read: above
+# the 216,777,215 raw bits that `generate --bits 10**8` can write from a
+# rated-maximum chip; grading the 2e8 raw bits of the default chip's
+# selection peaks at 2.3 GB (see README)
+MAX_STREAM_BITS = 220_000_000
+
 SUBTEST_NAMES = (
     "Frequency",
     "BlockFrequency",
@@ -520,6 +527,9 @@ def export_sts(seq, destination: str | Path) -> None:
 
 def import_sts(source: str | Path) -> BitSequence:
     """Read an ASCII '0'/'1' file, skipping ASCII whitespace, into a BitSequence."""
+    size = Path(source).stat().st_size
+    if size > MAX_STREAM_BITS:
+        raise ValueError(f"{source}: {size} bytes is above the rated maximum of {MAX_STREAM_BITS}")
     raw = Path(source).read_bytes()
     arr = np.frombuffer(raw, dtype=np.uint8)
     arr = arr[~np.isin(arr, _ASCII_SPACE)]

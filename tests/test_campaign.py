@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CELL_SETS, cell_set, small_config
-from mramtrng import cli, device
+from mramtrng import cli, device, parallel
 from mramtrng.characterize import (
     CellClass,
     CellTaxonomy,
@@ -222,7 +222,7 @@ def _split_fold(monkeypatch, chip, workers):
     """The four-width, 50-round fold of ``chip``, in ten blocks shared by
     ``workers`` processes."""
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
-    monkeypatch.setattr(device, "_workers", lambda blocks: min(workers, blocks))
+    monkeypatch.setattr(parallel, "_workers", lambda blocks: min(workers, blocks))
     timings = [TimingParams(t) for t in WIDTHS]
     return fold_campaigns(chip, timings, ENVS["ref"], n=50)
 
@@ -233,15 +233,6 @@ def _assert_same_fold(folds, ref_folds):
         assert fold.flip_counts.dtype == ref.flip_counts.dtype
         assert np.array_equal(fold.flip_counts, ref.flip_counts)
         assert np.array_equal(fold.first_errors, ref.first_errors)
-
-
-def test_fold_workers_rule(monkeypatch):
-    """One process per usable CPU, at most one per block, and only the
-    calling process where os.fork does not exist."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert [device._workers(b) for b in (1, 2, 64)] == [1, min(2, cpus), min(64, cpus)]
-    monkeypatch.delattr(os, "fork")
-    assert device._workers(64) == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -272,7 +263,7 @@ def test_fold_raises_when_a_worker_fails(monkeypatch, small_chip):
         return kernel(*args)
 
     monkeypatch.setattr(device, "_FOLD_BLOCK", SPLIT_BLOCK)
-    monkeypatch.setattr(device, "_workers", lambda blocks: min(3, blocks))
+    monkeypatch.setattr(parallel, "_workers", lambda blocks: min(3, blocks))
     monkeypatch.setattr(device, "_write_errors", failing_in_workers)
     timings = [TimingParams(t) for t in WIDTHS]
     with pytest.raises(ChildProcessError, match="short data"):

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 
 from conftest import bits_file, de_bruijn, small_config
 from mramtrng import characterize, cli
-from mramtrng.device import default_config, load_chip
-from mramtrng.sts import run_battery
+from mramtrng.device import MAX_ADDRESSES, default_config, load_chip
+from mramtrng.sts import MAX_STREAM_BITS, run_battery
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,23 @@ def test_malformed_recipe_value_exits_2(tmp_path, capsys, where, value):
     assert cli.main(["chip", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "c.mrtg")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "wrong type or out of range" in err, err
+
+
+def test_recipe_above_rated_size_exits_2_before_sampling(tmp_path, capsys):
+    """A recipe one address above device.MAX_ADDRESSES exits 2 with one
+    line, and nothing is sampled or written."""
+    config = _edited_recipe(tmp_path, ("num_addresses",), MAX_ADDRESSES + 1)
+    out = tmp_path / "c.mrtg"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["chip", "--config", str(config), "--seed", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"above the rated maximum {MAX_ADDRESSES}" in err, err
+    assert peak < 1 << 20 and not out.exists(), peak
 
 
 def test_unknown_subcommand_exits_2():
@@ -447,6 +465,35 @@ def test_zero_bit_stream_exits_2(tmp_path, capsys):
     assert "battery" not in captured.out
     err = captured.err.splitlines()
     assert len(err) == 1 and str(path) in err[0] and "no bits in file" in err[0], err
+
+
+def test_stream_above_rated_size_exits_2_before_reading(tmp_path):
+    """A .bits file whose header says 2**33 bits (a sparse 1 GiB payload)
+    and an ASCII file of MAX_STREAM_BITS + 1 bytes each exit 2 with one
+    line, read by a CLI that may map only 1 GiB, less than either payload
+    unpacked."""
+    resource = pytest.importorskip("resource")
+    huge = tmp_path / "huge.bits"
+    with open(huge, "wb") as fh:
+        fh.write(struct.pack("<Q", 2**33))
+        fh.truncate(8 + 2**30)
+    text = tmp_path / "huge.txt"
+    with open(text, "wb") as fh:
+        fh.truncate(MAX_STREAM_BITS + 1)
+
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for path in (huge, text):
+        cmd = [sys.executable, "-m", "mramtrng.cli", "test", str(path)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=one_gib)
+        assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and str(path) in err[0] and f"rated maximum of {MAX_STREAM_BITS}" in err[0], err
+        assert proc.stdout == ""
 
 
 def test_battery_failure_exits_4(tmp_path, capsys):

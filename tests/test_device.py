@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from mramtrng import cli, device
+from mramtrng import cli, device, parallel
 from mramtrng.device import (
     ChipConfig,
     Environment,
@@ -292,7 +292,7 @@ def test_campaigns_leave_the_chip_unchanged(monkeypatch, small_chip, small_selec
     }
     monkeypatch.setattr(device, "_FOLD_BLOCK", 3300)  # ten blocks, so three processes fold
     for name, (workers, campaign) in campaigns.items():
-        monkeypatch.setattr(device, "_workers", lambda jobs: min(workers, jobs))
+        monkeypatch.setattr(parallel, "_workers", lambda jobs: min(workers, jobs))
         campaign()
         _assert_same_state(_chip_state(chip), before, name)
     for f in dataclasses.fields(chip):

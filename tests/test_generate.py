@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_file, first_cells
-from mramtrng import cli, device
+from mramtrng import cli, parallel
 from mramtrng.characterize import save_selection
 from mramtrng.device import Environment, TimingParams, save_chip
 from mramtrng.extract import B_LEN, digest_blocks, harvest_rounds, plan_harvest, required_rounds
@@ -26,7 +26,7 @@ WIDE = 4000  # cells per round, more than a unit of 7 * UNIT bits
 
 
 def _workers(monkeypatch, workers):
-    monkeypatch.setattr(device, "_workers", lambda jobs: min(workers, jobs))
+    monkeypatch.setattr(parallel, "_workers", lambda jobs: min(workers, jobs))
 
 
 def _generate(tmp_path, name, chip, sel, bits, unit_bits=None):
@@ -123,9 +123,9 @@ def test_grade_preparation_shape_equals_one_process(monkeypatch, tmp_path, defau
     pipes of one page, which take a unit's 384 KB in many turns."""
     chip, sel = default_chip_files
     outs = []
-    for workers, pipe_bytes in ((1, device._PIPE_BYTES), (3, device._PIPE_BYTES), (3, 4096)):
+    for workers, pipe_bytes in ((1, parallel._PIPE_BYTES), (3, parallel._PIPE_BYTES), (3, 4096)):
         _workers(monkeypatch, workers)
-        monkeypatch.setattr(device, "_PIPE_BYTES", pipe_bytes)
+        monkeypatch.setattr(parallel, "_PIPE_BYTES", pipe_bytes)
         outs.append(tmp_path / f"w{workers}-pipe{pipe_bytes}")
         assert cli.main(["generate", chip, sel, "--bits", "16000000", "--out", str(outs[-1])]) == 0
     for name in FILES:
