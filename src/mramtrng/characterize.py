@@ -13,18 +13,13 @@ readouts, and this module works from its CampaignFold.  A cell whose
 failures are temporally random flips about half the time (expected count
 (N-1)/2), while reliable and stuck cells sit at or near zero.  Selection
 keeps cells with th_l <= flips <= th_u; the lower threshold is the quality
-knob and is chosen per chip.
-
-Cells also get a coarse taxonomy: persistent_correct (every readout is
-the written 0), persistent_error (every readout is 1) and noise_prone
-(anything that varied).  On real parts the two persistent classes
-together are the large invariant majority.
+knob and is chosen per chip.  A cell with no flips never changed its
+readout; on real parts such invariant cells are the large majority.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +53,9 @@ def expected_threshold(n: int) -> float:
 
 
 def suggest_th_l(n: int) -> int:
-    """A usable starting lower threshold: 60 % of the ideal expectation."""
-    return round(0.6 * expected_threshold(n))
+    """A usable starting lower threshold: 60 % of the ideal expectation,
+    rounded, but at least 1, the least that the window admits."""
+    return max(1, round(0.6 * expected_threshold(n)))
 
 
 @dataclass(frozen=True)
@@ -152,46 +148,6 @@ def select_cells(counts: np.ndarray, n_measurements: int, thresholds: SelectionT
     )
 
 
-class CellClass(enum.IntEnum):
-    PERSISTENT_CORRECT = 0
-    PERSISTENT_ERROR = 1
-    NOISE_PRONE = 2
-
-
-@dataclass
-class CellTaxonomy:
-    """Per-cell stability classes over one campaign."""
-
-    labels: np.ndarray
-    n_measurements: int
-
-    def count(self, cls: CellClass) -> int:
-        return int(np.count_nonzero(self.labels == cls))
-
-    def fraction(self, cls: CellClass) -> float:
-        return self.count(cls) / self.labels.size
-
-    @property
-    def invariant_fraction(self) -> float:
-        """Cells whose readout never changed across the campaign."""
-        return self.fraction(CellClass.PERSISTENT_CORRECT) + self.fraction(
-            CellClass.PERSISTENT_ERROR
-        )
-
-
-def classify_fold(fold: CampaignFold) -> CellTaxonomy:
-    """The stability class of each cell of a folded campaign: a cell never
-    changed iff it never flipped, and its constant value is right iff its
-    round-0 readout is."""
-    if fold.n_measurements < 2:
-        raise ValueError("classification needs >= 2 measurements")
-    constant = fold.flip_counts == 0
-    labels = np.full(constant.size, CellClass.NOISE_PRONE, dtype=np.uint8)
-    labels[constant & ~fold.first_errors] = CellClass.PERSISTENT_CORRECT
-    labels[constant & fold.first_errors] = CellClass.PERSISTENT_ERROR
-    return CellTaxonomy(labels=labels, n_measurements=fold.n_measurements)
-
-
 # --- write-timing sweep ----------------------------------------------------
 
 
@@ -267,7 +223,12 @@ def save_selection(sel: CellSelection, path: str | Path) -> None:
 
 def load_selection(path: str | Path, num_addresses: int) -> CellSelection:
     """The selection in ``path``, which must be for a chip of
-    ``num_addresses`` addresses; checked before the mask is allocated."""
+    ``num_addresses`` addresses; checked before the mask is allocated.
+
+    A file is accepted only in the one byte form that save_selection writes
+    (addresses strictly ascending, no zero mask, a window that resolves), so
+    selection_digest of the result is the SHA-256 of the file itself.
+    """
     data = Path(path).read_bytes()
     if data[:4] != _SEL_MAGIC:
         raise ValueError(f"{path}: not a selection file (bad magic)")
@@ -286,12 +247,24 @@ def load_selection(path: str | Path, num_addresses: int) -> CellSelection:
         raise ValueError(
             f"{path}: header lists {n_entries} entries but the file size is {len(data)} bytes"
         )
+    try:
+        SelectionThresholds(th_l, th_u).resolve(n_meas)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header thresholds: {exc}") from None
     entries = np.frombuffer(data, dtype=_SEL_ENTRY, offset=_SEL_HEADER.size)
-    if n_entries and int(entries["addr"].max()) >= num_addresses:
+    addrs = entries["addr"].astype(np.int64)
+    if n_entries and addrs.max() >= num_addresses:
+        raise ValueError(f"{path}: address {addrs.max()} out of range for {num_addresses} addresses")
+    unordered = np.flatnonzero(np.diff(addrs) <= 0)
+    if unordered.size:
+        i = int(unordered[0]) + 1
         raise ValueError(
-            f"{path}: address {int(entries['addr'].max())} out of range for "
-            f"{num_addresses} addresses"
+            f"{path}: addresses must be strictly ascending, but entry {i} "
+            f"(address {addrs[i]}) follows address {addrs[i - 1]}"
         )
+    empty = np.flatnonzero(entries["mask"] == 0)
+    if empty.size:
+        raise ValueError(f"{path}: entry {int(empty[0])} (address {addrs[empty[0]]}) has a zero mask")
     # bit j of a mask, MSB first, is cell address*16+j
     mask_bytes = entries["mask"].astype(">u2").view(np.uint8).reshape(-1, 2)
     per_addr = np.zeros((num_addresses, WORD_WIDTH), dtype=bool)

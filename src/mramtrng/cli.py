@@ -27,7 +27,6 @@ from .characterize import (
     CellSelection,
     SelectionThresholds,
     TimingSweepResult,
-    classify_fold,
     export_selection_csv,
     load_selection,
     save_selection,
@@ -357,10 +356,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     timing = TimingParams(_opt(args, "tw", float, 2.5))
     chip = load_chip(args.chip)
     fold, sel = _fold_and_select(chip, timing, _environment(args), n, thresholds)
-    taxonomy = classify_fold(fold)
     print(
         f"t_w = {timing.t_w_ns} ns, N = {n}: error fraction {fold.error_fraction():.4f}, "
-        f"invariant cells {100 * taxonomy.invariant_fraction:.2f}%"
+        f"invariant cells {100 * fold.invariant_fraction():.2f}%"
     )
     print(
         f"thresholds [{sel.th_l}, {sel.th_u}]: {sel.num_randcell} random cells in "

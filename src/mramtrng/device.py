@@ -692,14 +692,13 @@ class CampaignFold:
     ``errors`` counts the readout bits, over all rounds, that disagree with
     the written 0; ``flip_counts`` holds each cell's number of changes
     between consecutive readouts, in the smallest unsigned dtype that holds
-    n - 1; ``first_errors`` is the round-0 readout, 1 where it is wrong.
+    n - 1.  Nothing else of the readouts is kept.
     """
 
     t_w_ns: float
     n_measurements: int
     errors: int
     flip_counts: np.ndarray
-    first_errors: np.ndarray
 
     @property
     def num_cells(self) -> int:
@@ -708,6 +707,13 @@ class CampaignFold:
     def error_fraction(self) -> float:
         """Mean fraction of readout bits that disagree with the written 0."""
         return self.errors / (self.n_measurements * self.num_cells)
+
+    def invariant_fraction(self) -> float:
+        """Fraction of cells whose readout never changed: those that never
+        flipped.  It needs a pair of rounds to compare."""
+        if self.n_measurements < 2:
+            raise ValueError("the invariant share needs >= 2 measurements")
+        return np.count_nonzero(self.flip_counts == 0) / self.num_cells
 
 
 def fold_campaigns(
@@ -722,11 +728,10 @@ def fold_campaigns(
 
     The array is processed in blocks of _FOLD_BLOCK cells, all rounds of a
     block at a time, and the blocks are shared between processes by
-    parallel.forked: a block returns its error counts, flip counts and
-    round-0 errors, which this process copies into its own arrays.  A block
-    derives its own keys, and the counts are integer sums, so the result
-    does not depend on the number of processes.  Like measure, it leaves
-    the chip as it was.
+    parallel.forked: a block returns its error counts and flip counts,
+    which this process copies into its own arrays.  A block derives its own
+    keys, and the counts are integer sums, so the result does not depend on
+    the number of processes.  Like measure, it leaves the chip as it was.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n}")
@@ -737,41 +742,33 @@ def fold_campaigns(
 
     widths, m = len(timings), chip.num_cells
     flips = np.empty((widths, m), dtype=np.min_scalar_type(n - 1))
-    first = np.empty((widths, m), dtype=bool)
     round_keys = _round_keys(chip, np.arange(n))
 
-    def fold_block(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The block at ``lo``, folded: its error count per width, and its
-        cells' flip counts and round-0 errors."""
+    def fold_block(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """The block at ``lo``, folded: its error count per width and its
+        cells' flip counts."""
         keys = chip.rng.cell_keys(np.arange(lo, min(lo + _FOLD_BLOCK, m)))
         thresholds = _thresholds(chip, timings, env, slice(lo, lo + _FOLD_BLOCK))
         block_flips = np.zeros((widths, keys.size), dtype=flips.dtype)
         errors = np.zeros(widths, dtype=np.int64)
-        block_first = prev = _write_errors(keys, thresholds, round_keys[0])
+        prev = _write_errors(keys, thresholds, round_keys[0])
         errors += [np.count_nonzero(row) for row in prev]
         for rk in round_keys[1:]:
             cur = _write_errors(keys, thresholds, rk)
             errors += [np.count_nonzero(row) for row in cur]
             block_flips += prev ^ cur
             prev = cur
-        return errors, block_flips, block_first
+        return errors, block_flips
 
     errors = np.zeros(widths, dtype=np.int64)
     blocks = range(0, m, _FOLD_BLOCK)
     with forked(blocks, fold_block) as results:
-        for lo, (block_errors, block_flips, block_first) in zip(blocks, results):
+        for lo, (block_errors, block_flips) in zip(blocks, results):
             errors += block_errors
             flips[:, lo : lo + _FOLD_BLOCK] = block_flips
-            first[:, lo : lo + _FOLD_BLOCK] = block_first
     return [
-        CampaignFold(
-            t_w_ns=t.t_w_ns,
-            n_measurements=n,
-            errors=int(e),
-            flip_counts=f,
-            first_errors=fe,
-        )
-        for t, e, f, fe in zip(timings, errors, flips, first)
+        CampaignFold(t_w_ns=t.t_w_ns, n_measurements=n, errors=int(e), flip_counts=f)
+        for t, e, f in zip(timings, errors, flips)
     ]
 
 

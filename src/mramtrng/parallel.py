@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 
 # pipe buffer of a forked worker, the default pipe-max-size of Linux: it
 # holds a whole job's pickled result (a harvest unit's 384 KiB, a fold
-# block's 256 KiB), so a worker runs on instead of handing it over 64 KB at a
+# block's 128 KiB), so a worker runs on instead of handing it over 64 KB at a
 # time.  On 2 vCPU with one CPU kept busy, `generate` of 32 Mbit took
 # 1.29-1.38 s with it and 1.33-2.00 s with the 64 KB default
 _PIPE_BYTES = 1 << 20

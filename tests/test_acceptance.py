@@ -16,7 +16,7 @@ import pytest
 
 import reference as ref
 from mramtrng import cli
-from mramtrng.characterize import SelectionThresholds, classify_fold, select_cells, sweep_tw
+from mramtrng.characterize import SelectionThresholds, select_cells, sweep_tw
 from mramtrng.device import (
     Environment,
     TimingParams,
@@ -124,7 +124,7 @@ def test_criterion_1_error_fraction_calibration(calibrated):
 
 def test_criterion_2_invariant_cell_fraction(calibrated):
     _, folds, _ = calibrated
-    frac = classify_fold(folds[HARVEST_TW_NS]).invariant_fraction
+    frac = folds[HARVEST_TW_NS].invariant_fraction()
     _verdict(2, 0.40 <= frac <= 0.60, f"persistent cells {100 * frac:.2f}% in [40%,60%]")
 
 
@@ -172,7 +172,8 @@ def test_criterion_4_flip_count_oracle():
     """The flip counts of fold_campaigns, from the sparse kernel, equal the
     transitions counted one by one over the rows of measure, from the dense
     kernel, on small default-recipe chips: random seed, 1-4 addresses, 2-10
-    rounds, 1-4 pulse widths per fold."""
+    rounds, 1-4 pulse widths per fold.  The invariant share equals the
+    fraction of constant columns of the rows."""
     rng = np.random.default_rng(404)
     recipe = default_config()
     mismatches = flips = 0
@@ -182,9 +183,11 @@ def test_criterion_4_flip_count_oracle():
         n = int(rng.integers(2, 11))
         timings = [TimingParams(float(t)) for t in rng.uniform(0.5, 6.0, size=int(rng.integers(1, 5)))]
         for fold, t in zip(fold_campaigns(chip, timings, n=n), timings, strict=True):
-            want = _brute_force_flips(measure(chip, t, n=n).bits)
+            bits = measure(chip, t, n=n).bits
+            want = _brute_force_flips(bits)
             flips += sum(want)
-            if fold.flip_counts.tolist() != want:
+            constant = np.mean(np.all(bits == bits[0], axis=0))
+            if fold.flip_counts.tolist() != want or fold.invariant_fraction() != constant:
                 mismatches += 1
                 break
     _verdict(

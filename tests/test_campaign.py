@@ -2,7 +2,7 @@
 
 `measure` builds the full n x cells readout matrix with the dense kernel
 the harvest uses, and the brute-force reductions below count its flips and
-classify its cells; the sweep and `characterize` reach the same numbers from
+its invariant cells; the sweep and `characterize` reach the same numbers from
 the sparse `_write_errors` kernel of `fold_campaigns`.  These tests require
 the two to agree exactly.
 Cases named after a cell set of conftest.cell_set stitch each matrix from
@@ -20,11 +20,8 @@ from hypothesis import strategies as st
 from conftest import CELL_SETS, cell_set, small_config
 from mramtrng import cli, device, parallel
 from mramtrng.characterize import (
-    CellClass,
-    CellTaxonomy,
     SelectionThresholds,
     choose_tw,
-    classify_fold,
     select_cells,
     sweep_tw,
 )
@@ -55,14 +52,9 @@ def _flips(rows):
     return np.count_nonzero(rows[1:] != rows[:-1], axis=0)
 
 
-def _taxonomy(rows):
-    """Each cell's stability class from its readout rows: invariant cells
-    are correct or in error by their constant value, the rest noise-prone."""
-    constant = np.all(rows == rows[0], axis=0)
-    labels = np.full(rows.shape[1], CellClass.NOISE_PRONE, dtype=np.uint8)
-    labels[constant & ~rows[0]] = CellClass.PERSISTENT_CORRECT
-    labels[constant & rows[0]] = CellClass.PERSISTENT_ERROR
-    return CellTaxonomy(labels=labels, n_measurements=len(rows))
+def _invariant_fraction(rows):
+    """Fraction of cells whose readout is the same in every row."""
+    return np.count_nonzero(np.all(rows == rows[0], axis=0)) / rows.shape[1]
 
 
 def _stitched(chip, timing, cells, env, n, start_round=0):
@@ -106,14 +98,14 @@ def test_characterize_matches_matrix_path(tmp_path, capsys, small_chip, n, env):
     args = ["characterize", str(path), "--n", str(n), "--th-l", "1", "--format", "csv", "--out", str(report)]
     assert cli.main(args + flags) == 0
     m = measure(chip, TimingParams(2.5), e, n=n)
-    counts, tax = _flips(m.bits), _taxonomy(m.bits)
+    counts = _flips(m.bits)
     got = np.zeros(chip.num_cells, dtype=np.int64)
     for line in report.read_text().splitlines()[1:]:
         addr, _, *flips = line.split(",")
         got[int(addr) * 16 : (int(addr) + 1) * 16] = [int(f) for f in flips]
     assert np.array_equal(got, counts)
     out = capsys.readouterr().out
-    assert f"error fraction {m.error_fraction():.4f}, invariant cells {100 * tax.invariant_fraction:.2f}%" in out
+    assert f"error fraction {m.error_fraction():.4f}, invariant cells {100 * _invariant_fraction(m.bits):.2f}%" in out
 
 
 # --- the fold itself ----------------------------------------------------------
@@ -134,9 +126,8 @@ def test_fold_matches_matrix_path(monkeypatch, small_chip, cells, env, n, block)
         assert (fold.t_w_ns, fold.n_measurements) == (m.t_w_ns, n)
         assert fold.errors == np.count_nonzero(m.bits)
         assert fold.error_fraction() == m.error_fraction()
-        assert np.array_equal(fold.first_errors, m.bits[0])
         assert np.array_equal(fold.flip_counts, _flips(m.bits))
-        assert np.array_equal(classify_fold(fold).labels, _taxonomy(m.bits).labels)
+        assert fold.invariant_fraction() == _invariant_fraction(m.bits)
 
 
 @settings(max_examples=100)
@@ -165,7 +156,6 @@ def test_fold_equals_measure_rows_on_random_chips(seed, addresses, cells, temper
         parts = [(0, start), (start, n - start)] if start else [(0, n)]
         rows = np.concatenate([_stitched(chip, t, cells, env, k, s).bits for s, k in parts])
         assert fold.errors == np.count_nonzero(rows)
-        assert np.array_equal(fold.first_errors, rows[0])
         assert np.array_equal(fold.flip_counts, _flips(rows))
 
 
@@ -176,7 +166,7 @@ def test_fold_single_round(small_chip):
     with pytest.raises(ValueError, match="N-1"):
         select_cells(fold.flip_counts, 1, SelectionThresholds(1))
     with pytest.raises(ValueError, match="2 measurements"):
-        classify_fold(fold)
+        fold.invariant_fraction()
 
 
 @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
@@ -199,9 +189,7 @@ def test_fold_flip_count_extremes(monkeypatch, small_chip, n, dtype):
     assert np.all(alternating.flip_counts == n - 1) and alternating.errors == n // 2 * m
     assert not stuck.flip_counts.any() and stuck.errors == n * m
     assert not correct.flip_counts.any() and correct.errors == 0
-    labels = [classify_fold(f).labels for f in (alternating, stuck, correct)]
-    want = (CellClass.NOISE_PRONE, CellClass.PERSISTENT_ERROR, CellClass.PERSISTENT_CORRECT)
-    assert all(np.all(got == cls) for got, cls in zip(labels, want))
+    assert [f.invariant_fraction() for f in (alternating, stuck, correct)] == [0.0, 1.0, 1.0]
 
 
 def test_fold_rejects_bad_arguments(small_chip):
@@ -232,7 +220,6 @@ def _assert_same_fold(folds, ref_folds):
         assert fold.errors == ref.errors
         assert fold.flip_counts.dtype == ref.flip_counts.dtype
         assert np.array_equal(fold.flip_counts, ref.flip_counts)
-        assert np.array_equal(fold.first_errors, ref.first_errors)
 
 
 @pytest.mark.parametrize("workers", [2, 3])

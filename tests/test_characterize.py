@@ -1,4 +1,5 @@
-"""Flip counting, selection, taxonomy and the sweep over folded campaigns."""
+"""Flip counting, selection, the invariant share and the sweep over folded
+campaigns."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ import pytest
 from conftest import small_config
 from mramtrng import device
 from mramtrng.characterize import (
-    CellClass,
     SelectionThresholds,
     choose_tw,
-    classify_fold,
     expected_threshold,
     export_selection_csv,
     load_selection,
@@ -44,8 +43,8 @@ def _fold_readout(monkeypatch, chip, rows):
 
 
 def test_count_flips_matches_brute_force_randomized(monkeypatch):
-    """The fold's flip counts, errors and first rows on random readouts of
-    1-4 addresses over 2-10 rounds at 1-3 widths, any error density."""
+    """The fold's flip counts, errors and invariant share on random readouts
+    of 1-4 addresses over 2-10 rounds at 1-3 widths, any error density."""
     rng = np.random.default_rng(3)
     for _ in range(200):
         chip = create_chip(small_config(int(rng.integers(1, 5))), seed=int(rng.integers(0, 2**32)))
@@ -54,13 +53,13 @@ def test_count_flips_matches_brute_force_randomized(monkeypatch):
         for w, fold in enumerate(_fold_readout(monkeypatch, chip, rows)):
             assert np.array_equal(fold.flip_counts, _brute_force_flips(rows[:, w]))
             assert fold.errors == np.count_nonzero(rows[:, w])
-            assert np.array_equal(fold.first_errors, rows[0, w])
+            assert fold.invariant_fraction() == np.mean(np.all(rows[:, w] == rows[0, w], axis=0))
 
 
 def test_count_flips_needs_two_rows(monkeypatch):
     """One round has no pair of rows to count flips over: every cell of a
-    one-round fold counts 0, and neither selection nor classification takes
-    that for a cell that never changed."""
+    one-round fold counts 0, and neither selection nor the invariant share
+    takes that for a cell that never changed."""
     chip = create_chip(small_config(1), seed=7)
     (fold,) = _fold_readout(monkeypatch, chip, np.ones((1, 1, chip.num_cells), dtype=bool))
     assert fold.n_measurements == 1 and fold.errors == chip.num_cells
@@ -68,7 +67,7 @@ def test_count_flips_needs_two_rows(monkeypatch):
     with pytest.raises(ValueError):
         select_cells(fold.flip_counts, 1, SelectionThresholds(1))
     with pytest.raises(ValueError):
-        classify_fold(fold)
+        fold.invariant_fraction()
 
 
 def test_expected_threshold():
@@ -80,6 +79,7 @@ def test_expected_threshold():
 
 def test_suggest_th_l():
     assert suggest_th_l(50) == 15
+    assert suggest_th_l(2) == 1  # round(0.3) is 0, below the window
 
 
 def test_threshold_validation():
@@ -128,30 +128,23 @@ def test_empty_selection_is_flagged_not_fatal():
     assert sel.rand_addr_fraction == 0.0
 
 
-def test_classify_fold():
-    # the fold of the three readout rows [0 1 0 1], [0 1 1 0], [0 1 0 1]
+def test_invariant_fraction():
+    # the fold of the three readout rows [0 1 0 1], [0 1 1 0], [0 1 0 1]:
+    # cells 0 and 1 never change; cell 3 varies, though it starts and ends at 1
     fold = CampaignFold(
         t_w_ns=2.5,
         n_measurements=3,
         errors=6,
         flip_counts=np.array([0, 0, 2, 2], dtype=np.uint8),
-        first_errors=np.array([0, 1, 0, 1], dtype=bool),
     )
-    tax = classify_fold(fold)
-    assert tax.labels[0] == CellClass.PERSISTENT_CORRECT
-    assert tax.labels[1] == CellClass.PERSISTENT_ERROR
-    assert tax.labels[2] == CellClass.NOISE_PRONE
-    assert tax.labels[3] == CellClass.NOISE_PRONE  # varied, though it starts and ends at 1
-    assert tax.invariant_fraction == 0.5
-    assert tax.count(CellClass.NOISE_PRONE) == 2
+    assert fold.invariant_fraction() == 0.5
 
 
 def test_selected_cells_are_noise_prone(small_chip):
     (fold,) = fold_campaigns(small_chip, [TimingParams(2.5)], n=20)
     sel = select_cells(fold.flip_counts, 20, SelectionThresholds(6))
-    tax = classify_fold(fold)
     assert not sel.empty
-    assert np.all(tax.labels[sel.cell_indices] == CellClass.NOISE_PRONE)
+    assert np.all(fold.flip_counts[sel.cell_indices] > 0)
 
 
 def test_sweep_error_increases_as_pulse_narrows(small_chip):
@@ -170,7 +163,7 @@ def test_choose_tw_tie_prefers_wider_pulse():
     from mramtrng.device import CampaignFold
 
     def fold(t_w_ns, errors):  # 10 rounds over 10 cells
-        return CampaignFold(t_w_ns, 10, errors, np.zeros(10, np.uint8), np.zeros(10, bool))
+        return CampaignFold(t_w_ns, 10, errors, np.zeros(10, np.uint8))
 
     res = TimingSweepResult((fold(2.5, 30), fold(5.0, 30), fold(10.0, 10)))
     assert choose_tw(res) == 5.0

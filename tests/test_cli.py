@@ -283,6 +283,12 @@ def test_pulse_width_outside_write_cycle_exits_2(chip_file, selection_file, tmp_
     assert not out.exists()
 
 
+def test_characterize_two_rounds_default_threshold(chip_file, capsys):
+    """At --n 2 the default lower threshold is 1, not round(0.3) = 0."""
+    assert cli.main(["characterize", str(chip_file), "--n", "2"]) == 0
+    assert "thresholds [1, 1]:" in capsys.readouterr().out
+
+
 def test_characterize_csv_export(chip_file, tmp_path):
     out = tmp_path / "sel.csv"
     assert cli.main(["characterize", str(chip_file), "--format", "csv", "--out", str(out)]) == 0
@@ -316,15 +322,31 @@ def test_generate_then_battery(chip_file, selection_file, tmp_path, capsys):
 def test_generate_malformed_selection_exits_2(chip_file, selection_file, tmp_path, capsys):
     valid = selection_file.read_bytes()
     (num_addresses,) = struct.unpack_from("<I", valid, 6)
-    bad_addr, bad_width = bytearray(valid), bytearray(valid)
-    struct.pack_into("<I", bad_addr, 24, num_addresses)  # first entry's address
-    struct.pack_into("<H", bad_width, 10, 8)
+    header, entries = valid[:24], [valid[i : i + 6] for i in range(24, len(valid), 6)]
+    (first,) = struct.unpack_from("<I", valid, 24)
+    assert len(entries) >= 2
+
+    def edited(offset, fmt, *values, data=valid):
+        out = bytearray(data)
+        struct.pack_into(fmt, out, offset, *values)
+        return bytes(out)
+
+    def with_entries(rows):
+        return edited(20, "<I", len(rows), data=header) + b"".join(rows)
+
     cases = {  # a phrase of the one-line error -> the file content that must give it
         "truncated selection file header": valid[:10],
         "entries but the file size": valid[:-3],
         "file size": valid + bytes(6),
-        "out of range": bytes(bad_addr),
-        "word width": bytes(bad_width),
+        "out of range": edited(24, "<I", num_addresses),  # first entry's address
+        "word width": edited(10, "<H", 8),
+        "strictly ascending": with_entries(entries[::-1]),
+        f"(address {first}) follows address {first}": with_entries(entries[:1] + entries),
+        "has a zero mask": with_entries([struct.pack("<IH", 0, 0)] + entries[1:]),
+        "header thresholds: need 1 <= th_l <= th_u <= N-1; got th_l=0,": edited(12, "<H", 0),
+        "got th_l=15, th_u=50, N=50": edited(14, "<H", 50),
+        "got th_l=30, th_u=20, N=50": edited(12, "<HH", 30, 20),
+        "th_u=49, N=1": edited(16, "<I", 1),
     }
     bad = tmp_path / "bad.mrsl"
     for message, data in cases.items():
