@@ -353,6 +353,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     # one round has no flips to count, so no cell can be selected from it
     n = _rounds(args, 2)
     thresholds = _thresholds(args, n)
+    fmt = _format(args)
     timing = TimingParams(_opt(args, "tw", float, 2.5))
     chip = load_chip(args.chip)
     fold, sel = _fold_and_select(chip, timing, _environment(args), n, thresholds)
@@ -371,7 +372,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         return EXIT_EMPTY_SELECTION
     out = _opt(args, "out", str)
     if out is not None:
-        if _format(args) == "csv":
+        if fmt == "csv":
             export_selection_csv(sel, fold.flip_counts, out)
         else:
             save_selection(sel, out)
@@ -399,7 +400,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     # each file is one sequence, read as the battery reaches it, so one
     # stream is in memory at a time
     seqs = (
-        next(read_bitstream(p)) if p.suffix in (".bits", ".bin") else import_sts(p).bits
+        next(read_bitstream(p)) if p.suffix in (".bits", ".bin") else import_sts(p)
         for p in map(Path, args.streams)
     )
     summary, body = _battery_report(seqs, fmt)

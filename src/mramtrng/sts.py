@@ -3,9 +3,9 @@
 Seven tests are implemented here (frequency, block frequency, runs, longest
 run of ones, cumulative sums, serial, approximate entropy) together with the
 battery-level pass rules: a per-test proportion threshold and a chi-squared
-uniformity check on the p-value distribution.  Sequences can also be exported
-as ASCII '0'/'1' files, the input format of the reference STS distribution,
-so the remaining tests of the full suite can be run externally.
+uniformity check on the p-value distribution.  A sequence is a non-empty 1-d
+bool array; ``import_sts`` reads one from an ASCII '0'/'1' file, the input
+format of the reference STS distribution.
 
 All tests are deterministic pure functions of the input bits.  ``run_all``
 does each sequence's shared work once: one wrapped template histogram, built
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import erfc
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .special import erfc, igamc, normal_cdf
+from .special import igamc, normal_cdf
 
 ALPHA = 0.01
 UNIFORMITY_FLOOR = 0.0001
@@ -51,34 +52,6 @@ SUBTEST_NAMES = (
 
 
 @dataclass(frozen=True)
-class BitSequence:
-    """A non-empty ordered bit sequence under test."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.bits)
-        if arr.dtype != np.bool_:
-            arr = arr.astype(bool)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("BitSequence needs a non-empty 1-d bit array")
-        object.__setattr__(self, "bits", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitSequence":
-        if set(text) - {"0", "1"}:
-            raise ValueError("sequence string may contain only '0' and '1'")
-        return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1"))
-
-    def __len__(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
 class TestResult:
     """Outcome of one statistical test on one sequence."""
 
@@ -90,10 +63,6 @@ class TestResult:
 
 
 def _coerce(seq) -> np.ndarray:
-    if isinstance(seq, BitSequence):
-        return seq.bits
-    if isinstance(seq, str):
-        return BitSequence.from_string(seq).bits
     arr = np.asarray(seq).astype(bool, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d bit array")
@@ -192,8 +161,8 @@ def longest_run(seq) -> TestResult:
     return TestResult("LongestRun", chi, p, p >= ALPHA)
 
 
-# normal_cdf is exactly 1.0 above about 8.5 and exactly 0.0 below about
-# -37.7, so a cumulative-sums term whose two arguments both lie beyond this
+# normal_cdf is exactly 1.0 above about 8.29 and exactly 0.0 below about
+# -38.48, so a cumulative-sums term whose two arguments both lie beyond this
 # bound on one side is a difference of two equal values: exactly 0.0
 _CDF_FLAT = 40.0
 
@@ -517,16 +486,8 @@ def run_battery(seqs: Iterable) -> BatterySummary:
 _ASCII_SPACE = np.array([c for c in range(128) if chr(c).isspace()], dtype=np.uint8)
 
 
-def export_sts(seq, destination: str | Path) -> None:
-    """Write the exact ASCII '0'/'1' byte stream the reference suite reads."""
-    bits = _coerce(seq)
-    out = np.full(bits.size, ord("0"), dtype=np.uint8)
-    out[bits] = ord("1")
-    Path(destination).write_bytes(out.tobytes())
-
-
-def import_sts(source: str | Path) -> BitSequence:
-    """Read an ASCII '0'/'1' file, skipping ASCII whitespace, into a BitSequence."""
+def import_sts(source: str | Path) -> np.ndarray:
+    """Read an ASCII '0'/'1' file, skipping ASCII whitespace, into a bool array."""
     size = Path(source).stat().st_size
     if size > MAX_STREAM_BITS:
         raise ValueError(f"{source}: {size} bytes is above the rated maximum of {MAX_STREAM_BITS}")
@@ -538,4 +499,4 @@ def import_sts(source: str | Path) -> BitSequence:
     bad = (arr != ord("0")) & (arr != ord("1"))
     if np.any(bad):
         raise ValueError(f"{source}: file contains characters other than '0' and '1'")
-    return BitSequence(arr == ord("1"))
+    return arr == ord("1")

@@ -133,6 +133,20 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_cli_imports_no_test_only_package():
+    """The package's one dependency is numpy: importing the CLI loads none of
+    the packages that only the tests use."""
+    code = (
+        "import sys\n"
+        "import mramtrng.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n", proc.stdout
+
+
 # --- environment overrides --------------------------------------------------
 
 
@@ -294,6 +308,21 @@ def test_characterize_csv_export(chip_file, tmp_path):
     assert cli.main(["characterize", str(chip_file), "--format", "csv", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("address")
+
+
+@pytest.mark.parametrize("with_out", [True, False])
+def test_characterize_bad_format_exits_2_before_the_fold(chip_file, tmp_path, monkeypatch, capsys, with_out):
+    """MRTG_FORMAT=xml is rejected before any campaign runs, with or
+    without --out."""
+    out = tmp_path / "sel.mrsl"
+    monkeypatch.setenv("MRTG_FORMAT", "xml")
+    args = ["characterize", str(chip_file)] + (["--out", str(out)] if with_out else [])
+    assert cli.main(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "--format must be 'text' or 'csv'" in err[0], err
+    assert not out.exists()
 
 
 def test_missing_chip_file_exits_5(capsys, tmp_path):

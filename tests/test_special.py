@@ -1,7 +1,8 @@
-"""Oracle validation for the native erfc / incomplete-gamma implementations.
+"""Oracle validation for the native incomplete-gamma implementations and the
+standard library's erf / erfc (the battery and ``normal_cdf`` use erfc).
 
-The implementations under test are pure series / continued-fraction code;
-the oracle is mpmath at 40 decimal digits (with scipy as a second witness).
+The incomplete gamma pair is pure series / continued-fraction code; the
+oracle is mpmath at 40 decimal digits (with scipy as a second witness).
 Agreement is required to at least 12 significant digits.
 """
 
@@ -9,6 +10,7 @@ import itertools
 import math
 import subprocess
 import sys
+from math import erf, erfc
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +19,7 @@ import scipy.special as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mramtrng.special import erf, erfc, igam, igamc, normal_cdf
+from mramtrng.special import igam, igamc, normal_cdf
 
 mp.mp.dps = 40
 

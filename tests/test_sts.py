@@ -20,7 +20,6 @@ from mramtrng.sts import (
     _fold_counts,
     _longest_run_per_block,
     _template_counts,
-    BitSequence,
     SUBTEST_NAMES,
     approximate_entropy,
     block_frequency,
@@ -28,7 +27,6 @@ from mramtrng.sts import (
     default_apen_m,
     default_block_m,
     default_serial_m,
-    export_sts,
     frequency_monobit,
     import_sts,
     longest_run,
@@ -47,57 +45,62 @@ def _bitstring(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in bits)
 
 
+def _bits(text: str) -> np.ndarray:
+    """The bool array of a '0'/'1' string, as the worked examples write it."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
+
+
 # --- worked examples (hand enumeration in comments) ------------------------
 
 
 def test_monobit_examples():
     # "1011010101": six ones, four zeros -> |S| = 2
-    r = frequency_monobit("1011010101")
+    r = frequency_monobit(_bits("1011010101"))
     assert r.statistic == 2.0
     assert abs(r.p_value - ref.ref_erfc(2 / math.sqrt(20))) < P_TOL
-    alternating = "01" * 50
+    alternating = _bits("01" * 50)
     assert frequency_monobit(alternating).p_value == 1.0
-    ones = frequency_monobit("1" * 100)
+    ones = frequency_monobit(_bits("1" * 100))
     assert abs(ones.p_value - ref.ref_erfc(10 / math.sqrt(2))) < P_TOL
     assert ones.p_value < 1e-20 and not ones.passed
 
 
 def test_block_frequency_example():
     # blocks 011|001|101 -> pi = 2/3, 1/3, 2/3 -> chi2 = 4*3*(3*(1/6)^2) = 1
-    r = block_frequency("0110011010", m_block=3)
+    r = block_frequency(_bits("0110011010"), m_block=3)
     assert abs(r.statistic - 1.0) < 1e-12
     assert abs(r.p_value - ref.ref_igamc(1.5, 0.5)) < P_TOL
     assert abs(r.p_value - 0.801252) < 1e-6
-    balanced = block_frequency("0110" * 10, m_block=4)
+    balanced = block_frequency(_bits("0110" * 10), m_block=4)
     assert balanced.statistic == 0.0 and balanced.p_value == 1.0
-    assert block_frequency("0" * 1000, m_block=10).p_value < 1e-20
+    assert block_frequency(_bits("0" * 1000), m_block=10).p_value < 1e-20
 
 
 def test_block_frequency_errors():
     with pytest.raises(ValueError):
-        block_frequency("0101", m_block=1)
+        block_frequency(_bits("0101"), m_block=1)
     with pytest.raises(ValueError):
-        block_frequency("01", m_block=3)
+        block_frequency(_bits("01"), m_block=3)
 
 
 def test_runs_example():
     # "1001101011": pi = 0.6, seven runs
-    r = runs("1001101011")
+    r = runs(_bits("1001101011"))
     assert r.statistic == 7.0
     assert abs(r.p_value - 0.147232) < 1e-6
-    assert runs("1" * 100).p_value == 0.0  # prerequisite fails
-    alt = runs("01" * 50)
+    assert runs(_bits("1" * 100)).p_value == 0.0  # prerequisite fails
+    alt = runs(_bits("01" * 50))
     assert alt.statistic == 100.0 and alt.p_value < 1e-20
-    assert runs("1111").p_value == 0.0  # degenerate proportion, short input
+    assert runs(_bits("1111")).p_value == 0.0  # degenerate proportion, short input
 
 
 def test_longest_run_requires_128_bits():
     with pytest.raises(ValueError):
-        longest_run("01" * 60)
+        longest_run(_bits("01" * 60))
 
 
 def test_longest_run_all_zeros():
-    r = longest_run("0" * 128)
+    r = longest_run(_bits("0" * 128))
     assert r.p_value < 1e-6 and not r.passed
 
 
@@ -149,37 +152,37 @@ def test_folded_template_counts_are_exact():
 
 def test_cumulative_sums_example():
     # "1011010111": walk 1,0,1,2,1,2,1,2,3,4 -> max |S| = 4
-    r = cumulative_sums("1011010111")
+    r = cumulative_sums(_bits("1011010111"))
     assert r.statistic == 4.0
     assert 0.4115 < r.p_value < 0.4117
     assert abs(r.p_value - ref.ref_cusum("1011010111")[1]) < P_TOL
-    alt = cumulative_sums("01" * 50)
+    alt = cumulative_sums(_bits("01" * 50))
     assert alt.statistic == 1.0 and alt.p_value > 0.99
-    assert cumulative_sums("1" * 100).p_value < 1e-20
+    assert cumulative_sums(_bits("1" * 100)).p_value < 1e-20
 
 
 def test_serial_example():
     # "0011011101", m=3: wrapped template counts give psi2 = 2.8, 1.2, 0.4
-    r1, r2 = serial("0011011101", m=3)
+    r1, r2 = serial(_bits("0011011101"), m=3)
     assert abs(r1.statistic - 1.6) < 1e-12
     assert abs(r2.statistic - 0.8) < 1e-12
     assert abs(r1.p_value - 0.808792) < 1e-6
     assert abs(r2.p_value - 0.670320) < 1e-6
-    z1, z2 = serial("0" * 100, m=3)
+    z1, z2 = serial(_bits("0" * 100), m=3)
     assert z1.p_value < 1e-20 and z2.p_value < 1e-20
 
 
 def test_serial_errors():
     with pytest.raises(ValueError):
-        serial("0101", m=1)
+        serial(_bits("0101"), m=1)
     with pytest.raises(ValueError):
-        serial("0101", m=4)
+        serial(_bits("0101"), m=4)
 
 
 def test_serial_difference_rounded_below_zero_is_zero():
     # the psi-squared second difference of this sequence is 0 but rounds to
     # -1.8e-15; the reference STS's igamc returns 1.0 at x <= 0
-    r1, r2 = serial("000000100111", m=3)
+    r1, r2 = serial(_bits("000000100111"), m=3)
     d1, p1, _, _ = ref.ref_serial("000000100111", 3)
     assert abs(r1.statistic - d1) < 1e-12 and abs(r1.p_value - p1) < P_TOL
     assert (r2.statistic, r2.p_value, r2.passed) == (0.0, 1.0, True)
@@ -203,10 +206,10 @@ def test_approximate_entropy_example():
     phi3 = 2 * 0.3 * math.log(0.3) + 4 * 0.1 * math.log(0.1)
     phi4 = 5 * 0.1 * math.log(0.1) + 0.3 * math.log(0.3) + 0.2 * math.log(0.2)
     chi = 2 * 10 * (math.log(2) - (phi3 - phi4))
-    r = approximate_entropy("0100110101", m=3)
+    r = approximate_entropy(_bits("0100110101"), m=3)
     assert abs(r.statistic - chi) < 1e-9
     assert abs(r.p_value - ref.ref_igamc(4, chi / 2)) < P_TOL
-    assert approximate_entropy("0" * 100, m=2).p_value < 1e-20
+    assert approximate_entropy(_bits("0" * 100), m=2).p_value < 1e-20
 
 
 def test_approximate_entropy_complement_invariance():
@@ -246,8 +249,12 @@ def memo_normal_cdf(monkeypatch):
 
 
 def test_normal_cdf_is_flat_beyond_the_clip():
-    for x in np.geomspace(_CDF_FLAT, 1e300, 400):
-        assert normal_cdf(float(x)) == 1.0 and normal_cdf(-float(x)) == 0.0
+    """The premise of the cumulative-sums pruning: at |x| >= _CDF_FLAT,
+    normal_cdf is exactly 1.0 above and exactly 0.0 below."""
+    edges = [_CDF_FLAT, math.nextafter(_CDF_FLAT, math.inf), 1.7976931348623157e308, math.inf]
+    sampled = np.random.default_rng(48).uniform(_CDF_FLAT, 4 * _CDF_FLAT, 400)
+    for x in [*np.geomspace(_CDF_FLAT, 1e300, 400), *sampled, *edges]:
+        assert normal_cdf(float(x)) == 1.0 and normal_cdf(-float(x)) == 0.0, x
 
 
 def test_clipped_cusum_sum_is_the_full_loop_small_n(memo_normal_cdf):
@@ -345,17 +352,17 @@ def test_run_all_short_inputs_raise_as_the_standalone_tests():
     for n in range(1, 131):
         for kind, bits in _bit_cases(n, n).items():
             assert _outcome(run_all, bits) == _outcome(_standalone, bits), (n, kind)
+    assert _outcome(run_all, np.zeros(0, dtype=bool)).endswith("expected a non-empty 1-d bit array")
     assert _outcome(run_all, np.ones(2, dtype=bool)).endswith("template length m too large for the sequence")
     assert _outcome(run_all, np.ones(19, dtype=bool)).endswith("sequence shorter than one block")
     assert _outcome(run_all, np.ones(127, dtype=bool)).endswith("longest-run test needs at least 128 bits")
 
 
 def test_run_all_golden_digest():
-    # pinned from the battery before the shared histogram and walk: a change
-    # that moves any statistic or p-value by one ulp changes the digest
+    # a change that moves any statistic or p-value by one ulp changes the digest
     bits = np.random.default_rng(2024).integers(0, 2, 1 << 20, dtype=np.uint8).astype(bool)
     digest = hashlib.sha256(repr(run_all(bits)).encode()).hexdigest()
-    assert digest == "fc0436ea80270f42dcf0173a995a8ea35230aad361c7f1eb57f86d56b0d296cb"
+    assert digest == "bf1e21663481bb4d437d2aad38563c3b697f799c00febb436924a1c81de79676"
 
 
 # --- brute-force oracle equivalence ----------------------------------------
@@ -595,36 +602,21 @@ def test_battery_sizes_templates_from_length():
     assert "alpha=0.01" in summary.report()
 
 
-# --- sequence type and interchange files -----------------------------------
-
-
-def test_bitsequence_validation():
-    with pytest.raises(ValueError):
-        BitSequence(np.zeros(0, dtype=bool))
-    with pytest.raises(ValueError):
-        BitSequence.from_string("012")
-    seq = BitSequence.from_string("10110001")
-    assert seq.n == len(seq) == 8
-
-
-def test_export_exact_bytes(tmp_path):
-    p = tmp_path / "seq.txt"
-    export_sts(BitSequence.from_string("10110001"), p)
-    assert p.read_bytes() == b"10110001"
+# --- ASCII input files -----------------------------------------------------
 
 
 def test_export_import_roundtrip(tmp_path):
     rng = np.random.default_rng(70)
     bits = rng.random(4097) < 0.5
+    text = _bitstring(bits)
     p = tmp_path / "seq.txt"
-    export_sts(bits, p)
+    p.write_bytes(text.encode("ascii"))
     again = import_sts(p)
-    assert np.array_equal(again.bits, bits)
+    assert again.dtype == bool and np.array_equal(again, bits)
     # ASCII whitespace between bits is skipped
-    text = p.read_text()
     for spaced in (text + "\n", text[:100] + "\r\n" + text[100:] + " ", "\t".join(text)):
         p.write_text(spaced)
-        assert np.array_equal(import_sts(p).bits, bits)
+        assert np.array_equal(import_sts(p), bits)
 
 
 def test_import_rejects_junk(tmp_path):
