@@ -11,8 +11,8 @@ digests are concatenated.  A trailing partial block is discarded, so
 Bit/byte packing is MSB first throughout: the first harvested bit is the
 most significant bit of the first byte fed to the hash.  A stream exists
 only as a .bits file of those packed bytes: the harvest hashes packed
-bytes (digest_blocks) as it writes them, and the graders read the file
-back one sequence at a time (read_bitstream).
+bytes (digest_blocks) as it writes them, and a grader reads one sequence
+of the file back from its start bit (read_bitstream).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -119,12 +119,11 @@ def open_bitstream(path: str | Path, n_bits: int) -> BinaryIO:
     return fh
 
 
-def read_bitstream(path: str | Path, length: int | None = None) -> Iterator[np.ndarray]:
-    """The consecutive ``length``-bit sequences of a bitstream file (by
-    default the whole stream, as one sequence), each read and unpacked to a
-    bool array only when it is taken; a trailing part shorter than
-    ``length`` is not yielded.  The header and the file size are checked
-    before the first sequence."""
+def read_bitstream(path: str | Path, start: int = 0, length: int | None = None) -> np.ndarray:
+    """The ``length`` bits of a bitstream file from bit ``start`` (by
+    default all bits from ``start`` on), unpacked to a bool array.  Every
+    call checks the header and the file size before it reads the payload,
+    and reads only the bytes that hold the sequence."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -138,12 +137,14 @@ def read_bitstream(path: str | Path, length: int | None = None) -> Iterator[np.n
             raise ValueError(f"{path}: {what}: {n_bits} bits need {n_bytes} payload bytes, the file has {size}")
         if n_bits == 0:
             raise ValueError(f"{path}: no bits in file")
-        length = length or n_bits
-        for start in range(0, n_bits - length + 1, length):
-            skip = start % 8
-            fh.seek(_HEADER.size + start // 8)
-            packed = np.frombuffer(fh.read((skip + length + 7) // 8), dtype=np.uint8)
-            yield np.unpackbits(packed)[skip : skip + length].view(bool)
+        if length is None:
+            length = n_bits - start
+        if not 0 <= start < start + length <= n_bits:
+            raise ValueError(f"{path}: bits {start} to {start + length} are outside its {n_bits} bits")
+        skip = start % 8
+        fh.seek(_HEADER.size + start // 8)
+        packed = np.frombuffer(fh.read((skip + length + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(packed)[skip : skip + length].view(bool)
 
 
 def save_provenance(path: str | Path, n_bits: int, provenance: dict) -> None:

@@ -50,16 +50,22 @@ def forked(jobs: Sequence, run: Callable):
 
     Job i runs in process i mod W.  Process 0 is this one, which runs its
     jobs as the iterator reaches them; each of W - 1 forked workers runs its
-    jobs in order and pickles their results into a pipe, which this process
-    unpickles.  Only this process's own children write to the pipes, so no
-    outside input is unpickled.  A worker runs ahead of the reader only as
-    far as its pipe's buffer (_PIPE_BYTES) holds, so memory stays bounded.
-    Where os.fork fails, this process runs that worker's jobs itself.
+    jobs in order and pickles each result into a pipe as soon as the job
+    ends, which this process unpickles.  Only this process's own children
+    write to the pipes, so no outside input is unpickled.  A worker runs
+    ahead of the reader only as far as its pipe's buffer (_PIPE_BYTES)
+    holds, so memory stays bounded.  Where os.fork fails, this process runs
+    that worker's jobs itself.
 
-    A worker leaves only through os._exit.  Short data or a non-zero exit
-    raises ChildProcessError; the workers are killed if the caller raises,
-    and always reaped.  Fork before opening any buffered writer: a worker
-    would hold a copy of its buffer.
+    An exception raised by a worker's ``run(job)`` is pickled back in the
+    result's place, and the iterator raises it at that job's place in job
+    order, as it would for a job of this process; the worker stops there.
+    A MemoryError is not sent: pickling may need the memory that is
+    missing.  A worker leaves only through os._exit.  Short data (a result
+    or exception that could not be pickled, or a worker that died) or a
+    non-zero exit raises ChildProcessError; the workers are killed if the
+    caller raises, and always reaped.  Fork before opening any buffered
+    writer: a worker would hold a copy of its buffer.
     """
     workers = _workers(len(jobs))
     children = {}  # process index -> (pid, read end of its pipe)
@@ -71,9 +77,11 @@ def forked(jobs: Sequence, run: Callable):
                 continue
             pid, src = children[k % workers]
             try:
-                result = pickle.load(src)
+                result, exc = pickle.load(src)
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"worker {pid} sent short data") from None
+            if exc is not None:
+                raise exc
             yield result
 
     try:
@@ -94,7 +102,18 @@ def forked(jobs: Sequence, run: Callable):
                     os.close(r)
                     with open(w, "wb") as out:
                         for job in jobs[i::workers]:
-                            pickle.dump(run(job), out, protocol=pickle.HIGHEST_PROTOCOL)
+                            try:
+                                reply = run(job), None
+                            except MemoryError:
+                                raise
+                            except Exception as exc:
+                                reply = None, exc
+                            pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
+                            # now, not when the writer's 8 KiB buffer fills or
+                            # the worker ends: the reader waits for this job
+                            out.flush()
+                            if reply[1] is not None:
+                                break
                     status = 0
                 finally:
                     os._exit(status)

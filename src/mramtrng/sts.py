@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass, field
 from math import erfc
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .parallel import forked
 from .special import igamc, normal_cdf
 
 ALPHA = 0.01
@@ -441,22 +442,37 @@ class BatterySummary:
         return "\n".join(rows) + "\n"
 
 
-def run_battery(seqs: Iterable) -> BatterySummary:
-    """Run the nine subtests over every sequence and apply both pass rules.
+def run_battery(jobs: Sequence, load: Callable = _coerce) -> BatterySummary:
+    """Grade the sequence ``load(job)`` of every job and apply both pass
+    rules; by default each job is itself a sequence.
 
-    ``seqs`` is consumed once, one sequence at a time: each is graded and
-    dropped before the next is taken, so a generator that loads sequences
-    holds only one of them in memory.
+    The jobs are shared between the usable CPUs (parallel.forked).  Each
+    process loads a sequence only when it grades it and drops it before it
+    loads the next, so it holds one sequence at a time, and the results come
+    back in job order, so the summary is the same for any process count.
+    Errors are raised in job order too, each at its sequence, as one process
+    grading the jobs in turn would raise them: a sequence whose length
+    differs from the first one's fails that check before any error of its
+    own grading.
     """
+
+    def grade(job) -> tuple[int, tuple[TestResult, ...] | ValueError]:
+        bits = _coerce(load(job))
+        try:
+            return bits.size, run_all(bits)
+        except ValueError as exc:  # too short to grade: raised after the length check
+            return bits.size, exc
+
     per_seq, n = [], None
-    for seq in seqs:
-        bits = _coerce(seq)
-        if n is None:
-            n = bits.size
-        elif bits.size != n:
-            raise ValueError("all sequences must have the same length")
-        per_seq.append(run_all(bits))
-        del seq, bits  # not alive while the next sequence loads
+    with forked(jobs, grade) as results:
+        for size, graded in results:
+            if n is None:
+                n = size
+            elif size != n:
+                raise ValueError("all sequences must have the same length")
+            if isinstance(graded, ValueError):
+                raise graded
+            per_seq.append(graded)
     if not per_seq:
         raise ValueError("need at least one sequence")
     subtests = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_file, de_bruijn, small_config
-from mramtrng import characterize, cli
+from mramtrng import characterize, cli, parallel
 from mramtrng.device import MAX_ADDRESSES, default_config, load_chip
 from mramtrng.sts import MAX_STREAM_BITS, run_battery
 
@@ -576,6 +576,80 @@ def test_battery_report_to_file(tmp_path, capsys):
     assert out.read_text().startswith("test,passed,total")
 
 
+def _test_cli(monkeypatch, capsys, workers, files, *flags):
+    """``mramtrng test`` over ``files`` with the battery on ``workers``
+    processes: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(parallel, "_workers", lambda jobs: min(workers, jobs))
+    code = cli.main(["test", *map(str, files), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _stream_files(tmp_path, count, biased=False, n_bits=20_000):
+    """``count`` .bits files of ``n_bits`` bits, the second an ASCII file,
+    and the third a little biased if ``biased``, which fails the battery."""
+    rng = np.random.default_rng(17)
+    paths = []
+    for i in range(count):
+        bits = rng.random(n_bits) < (0.51 if biased and i == 2 else 0.5)
+        if i == 1:
+            paths.append(tmp_path / f"s{i}.txt")
+            paths[-1].write_text("".join("01"[int(b)] for b in bits))
+        else:
+            paths.append(tmp_path / f"s{i}.bits")
+            paths[-1].write_bytes(bits_file(bits))
+    return paths
+
+
+@pytest.mark.parametrize("count, biased, code", [(3, False, cli.EXIT_OK), (7, True, cli.EXIT_BATTERY_FAIL)])
+def test_battery_reports_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path, count, biased, code):
+    """The text and CSV reports, printed or written, and the exit code are
+    the same for W = 1, 2 and 3 battery processes."""
+    files = _stream_files(tmp_path, count, biased)
+    runs = {}
+    for workers in (1, 2, 3):
+        got = []
+        for fmt in ("text", "csv"):
+            report = tmp_path / f"report-{workers}.{fmt}"
+            got.append(_test_cli(monkeypatch, capsys, workers, files, "--format", fmt))
+            code, out, _ = _test_cli(monkeypatch, capsys, workers, files, "--format", fmt, "--out", str(report))
+            got.append((code, out.replace(str(report), "REPORT"), report.read_bytes()))
+        runs[workers] = got
+    assert runs[1][0][0] == code and f"{count} sequences" in runs[1][0][1]
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def _bad_stream(tmp_path, kind):
+    """A file that `test` refuses, and the exit code it refuses it with."""
+    path = tmp_path / f"bad-{kind}.bits"
+    if kind == "missing":
+        return path, cli.EXIT_IO
+    if kind == "truncated":
+        path.write_bytes(bits_file(np.ones(20_000, dtype=bool))[:-1])
+    elif kind == "too short":  # fails the first sequence's grading, or the later ones' length check
+        path.write_bytes(bits_file(np.ones(100, dtype=bool)))
+    elif kind == "longer":
+        path.write_bytes(bits_file(np.ones(20_008, dtype=bool)))
+    elif kind == "junk":
+        path = tmp_path / "bad-junk.txt"
+        path.write_text("0101x01")
+    return path, cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", ["missing", "truncated", "too short", "longer", "junk"])
+@pytest.mark.parametrize("position", [0, 1, 4])
+def test_bad_stream_fails_alike_for_any_worker_count(monkeypatch, capsys, tmp_path, kind, position):
+    """A bad file at the first, second or last of five places gives the same
+    exit code and one stderr line for W = 1, 2 and 3, and no report."""
+    files = _stream_files(tmp_path, 5)
+    files[position], code = _bad_stream(tmp_path, kind)
+    report = tmp_path / "report.txt"
+    got = {workers: _test_cli(monkeypatch, capsys, workers, files, "--out", str(report)) for workers in (1, 2, 3)}
+    assert got[1][0] == code and got[1][1] == "" and len(got[1][2].splitlines()) == 1, got[1]
+    assert got[2] == got[1] and got[3] == got[1]
+    assert not report.exists()
+
+
 # --- throughput -------------------------------------------------------------
 
 
@@ -693,6 +767,21 @@ def test_pipeline_battery_grades_cut_sequences(config_file, tmp_path, bits):
     body = [ln for ln in (out / "battery.txt").read_text().splitlines() if not ln.startswith("#")]
     assert body == summary.report().splitlines()
     assert rc == (cli.EXIT_OK if summary.verdict else cli.EXIT_BATTERY_FAIL)
+
+
+def test_pipeline_battery_does_not_depend_on_the_worker_count(config_file, tmp_path, monkeypatch):
+    """Cut into 2,000-bit sequences, the 20,224 conditioned bits are ten
+    battery jobs; battery.txt, the other artifacts and the exit code are
+    the same for W = 1, 2 and 3 processes."""
+    monkeypatch.setattr(cli, "PIPELINE_STREAM_BITS", 2000)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_workers", lambda jobs: min(workers, jobs))
+        out = tmp_path / f"w{workers}"
+        code = cli.main(["pipeline", "--config", str(config_file), "--seed", "7", "--bits", "20000", "--out", str(out)])
+        runs[workers] = code, {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS}
+    assert b"10 sequences x 2000 bits" in runs[1][1]["battery.txt"]
+    assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
 def test_pipeline_csv_format(config_file, tmp_path):

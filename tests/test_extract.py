@@ -236,10 +236,6 @@ def test_harvest_rejects_empty_selection(chip_and_selection):
 # --- stream files ----------------------------------------------------------
 
 
-def _read(path, length=None):
-    return list(read_bitstream(path, length))
-
-
 def test_bitstream_binary_roundtrip(tmp_path):
     """By default a file is read whole, as one sequence."""
     rng = np.random.default_rng(9)
@@ -247,12 +243,12 @@ def test_bitstream_binary_roundtrip(tmp_path):
         bits = rng.random(n) < 0.5
         p = tmp_path / f"s{n}.bits"
         p.write_bytes(bits_file(bits))
-        (again,) = _read(p)
-        assert np.array_equal(again, bits)
+        again = read_bitstream(p)
+        assert again.dtype == bool and np.array_equal(again, bits)
 
 
 def test_bitstream_binary_truncation_detected(tmp_path):
-    """A bad header or file size raises before the first sequence."""
+    """A bad header or file size raises on every call, whatever bits it asks for."""
     p = tmp_path / "s.bits"
     good = bits_file(np.ones(1000, dtype=bool))
     for data, message in (
@@ -263,39 +259,42 @@ def test_bitstream_binary_truncation_detected(tmp_path):
         (struct.pack("<Q", 0) + b"\x00", "longer than its header says"),
     ):
         p.write_bytes(data)
-        sequences = read_bitstream(p, 8)
-        with pytest.raises(ValueError, match=message) as exc:
-            next(sequences)
-        assert str(p) in str(exc.value)
+        for start in (0, 8, 13):
+            with pytest.raises(ValueError, match=message) as exc:
+                read_bitstream(p, start, 8)
+            assert str(p) in str(exc.value)
 
 
 @pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 513, 4099, 20_000])
 @pytest.mark.parametrize("length", [1, 3, 8, 13, 64, 1000, 4099])
 def test_reader_yields_the_consecutive_sequences(tmp_path, n_bits, length):
-    """Every whole ``length``-bit sequence, cut from np.unpackbits of the
-    file's payload; a trailing part shorter than ``length`` is not yielded."""
+    """The ``length`` bits from ``start``, cut from np.unpackbits of the
+    file's payload, for the consecutive starts that grading uses and for
+    starts at every offset in a byte; bits past the stream raise."""
     bits = np.random.default_rng(n_bits).random(n_bits) < 0.5
     p = tmp_path / "s.bits"
     p.write_bytes(bits_file(bits))
     ref = np.unpackbits(np.frombuffer(p.read_bytes()[8:], dtype=np.uint8), count=n_bits).view(bool)
-    want = [ref[i : i + length] for i in range(0, n_bits - length + 1, length)]
-    got = _read(p, length)
-    assert len(got) == n_bits // length
-    assert all(g.dtype == bool and np.array_equal(g, w) for g, w in zip(got, want))
+    starts = {*range(0, n_bits - length + 1, length), *range(min(8, n_bits - length + 1))}
+    for start in sorted(starts):
+        got = read_bitstream(p, start, length)
+        assert got.dtype == bool and np.array_equal(got, ref[start : start + length]), start
+    for start in (n_bits - length + 1, n_bits, -1):
+        with pytest.raises(ValueError, match="outside its"):
+            read_bitstream(p, start, length)
 
 
 def test_reader_reads_one_sequence_at_a_time(tmp_path, monkeypatch):
-    """A sequence is read from the file only when it is taken."""
+    """A call reads and unpacks the bytes that hold its one sequence and no more."""
     p = tmp_path / "s.bits"
     p.write_bytes(bits_file(np.random.default_rng(2).random(80_000) < 0.5))
     reads = []
     unpack = np.unpackbits
     monkeypatch.setattr(np, "unpackbits", lambda a, *args, **kw: reads.append(a.size) or unpack(a, *args, **kw))
-    sequences = read_bitstream(p, 10_000)
-    assert reads == []
-    next(sequences)
-    next(sequences)
-    assert reads == [1250, 1250]
+    read_bitstream(p, 10_000, 10_000)
+    read_bitstream(p, 10_003, 10_000)
+    read_bitstream(p, 79_999)
+    assert reads == [1250, 1251, 1]
 
 
 def test_bitstream_ascii_roundtrip(tmp_path):
@@ -316,5 +315,5 @@ def test_bitstream_ascii_rejects_junk(tmp_path):
 def test_msb_first_packing(tmp_path):
     p = tmp_path / "s.bits"
     p.write_bytes(struct.pack("<Q", 9) + bytes([0b1000_0001, 0b1000_0000]))
-    assert _read(p)[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 1]
-    assert [s.tolist() for s in _read(p, 4)] == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert read_bitstream(p).tolist() == [1, 0, 0, 0, 0, 0, 0, 1, 1]
+    assert [read_bitstream(p, s, 4).tolist() for s in (0, 4)] == [[1, 0, 0, 0], [0, 0, 0, 1]]

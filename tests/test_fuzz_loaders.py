@@ -53,7 +53,7 @@ def _load(name, path):
         return load_chip(path)
     if name == "sel.mrsl":
         return load_selection(path, 256)
-    return list(read_bitstream(path))
+    return read_bitstream(path)
 
 
 def _cli_args(name, d, bad):

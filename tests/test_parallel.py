@@ -1,9 +1,12 @@
 """parallel.forked: results in job order for any process count, whatever
-they are, the same results where fork fails, and a worker that stops
+they are, each handed over as soon as its job ends, the same results where
+fork fails, a job's exception raised at its place, and a worker that stops
 partway through a result fails the caller."""
 
 import os
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -74,3 +77,64 @@ def test_worker_stopping_partway_through_a_pickle_sends_short_data(monkeypatch):
     with pytest.raises(ChildProcessError, match="short data"):
         _run(monkeypatch, 3)
 
+
+
+def test_each_result_is_handed_over_when_its_job_ends(monkeypatch, tmp_path):
+    """W = 2: the worker runs jobs 1 and 3, and job 3 waits up to 3 s for a
+    marker that this process writes when it receives result 1.  A result
+    left in the worker's write buffer would arrive only when the worker
+    ends, after job 3 has given up."""
+    marker = tmp_path / "result-1-received"
+
+    def run(job):
+        if job != 3:
+            return job
+        deadline = time.monotonic() + 3.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return marker.exists()
+
+    monkeypatch.setattr(parallel, "_workers", lambda n: min(2, n))
+    got = []
+    with parallel.forked(range(4), run) as results:
+        for result in results:
+            got.append(result)
+            if len(got) == 2:
+                marker.touch()
+    assert got == [0, 1, 2, True]
+
+
+def _failing_at(bad, exc):
+    def run(job):
+        if job == bad:
+            raise exc
+        return job
+
+    return run
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_jobs_exception_is_raised_at_its_place(monkeypatch, workers):
+    """Job 5 runs in a worker for W = 2 and 3 (in this process for W = 1);
+    its ValueError arrives with its type and message after results 0-4,
+    and every worker is reaped (the autouse fixture checks that)."""
+    monkeypatch.setattr(parallel, "_workers", lambda n: min(workers, n))
+    got = []
+    with pytest.raises(ValueError) as exc:
+        with parallel.forked(JOBS, _failing_at(5, ValueError("job 5: bad input"))) as results:
+            got.extend(results)
+    assert exc.type is ValueError and str(exc.value) == "job 5: bad input"
+    assert got == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_exception_that_cannot_travel_fails_as_short_data(monkeypatch, workers):
+    """An exception that cannot be pickled, and a MemoryError, end the
+    worker as short data."""
+    monkeypatch.setattr(parallel, "_workers", lambda n: min(workers, n))
+    for exc in (ValueError(threading.Lock()), MemoryError("worker out of memory")):
+        got = []
+        with pytest.raises(ChildProcessError, match="short data"):
+            with parallel.forked(JOBS, _failing_at(5, exc)) as results:
+                got.extend(results)
+        assert got == [0, 1, 2, 3, 4]

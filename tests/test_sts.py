@@ -10,7 +10,7 @@ import pytest
 
 import reference as ref
 from conftest import de_bruijn
-from mramtrng import sts
+from mramtrng import parallel, sts
 from mramtrng.special import normal_cdf
 from mramtrng.sts import (
     ALPHA,
@@ -301,6 +301,8 @@ def test_cumulative_sums_evaluates_few_normal_cdf_terms(monkeypatch):
 
 
 def test_run_all_builds_one_template_histogram_per_sequence(monkeypatch):
+    """Counted in this process, so the battery runs in it alone."""
+    monkeypatch.setattr(parallel, "_workers", lambda jobs: 1)
     calls = []
 
     def counted(bits, m):
@@ -549,23 +551,26 @@ def test_battery_input_validation():
         run_battery([rng.random(256) < 0.5, rng.random(300) < 0.5])
 
 
-def test_battery_holds_one_sequence_at_a_time():
-    """run_battery takes the next sequence only after it has dropped the
-    last one, and grades a generator as it grades the same list."""
+def test_battery_holds_one_sequence_at_a_time(monkeypatch):
+    """One sequence alive per process: for W = 1, 2 and 3, each process
+    loads a job's sequence only after it has dropped the last one it
+    graded, this process loads only its own jobs, and loaded jobs grade as
+    the same list of sequences does."""
     rng = np.random.default_rng(63)
-    streams = [rng.random(2000) < 0.5 for _ in range(4)]
-    alive = []
+    streams = [rng.random(2000) < 0.5 for _ in range(7)]
+    want = run_battery(streams).report()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_workers", lambda jobs: min(workers, jobs))
+        alive = []  # sequences loaded in this process; a worker appends to its own copy
 
-    def loaded():
-        for s in streams:
-            assert not any(ref() is not None for ref in alive)
-            bits = s.copy()
+        def load(k):
+            assert not any(ref() is not None for ref in alive), f"job {k}: an earlier sequence is alive"
+            bits = streams[k].copy()
             alive.append(weakref.ref(bits))
-            yield bits
-            del bits
+            return bits
 
-    assert run_battery(loaded()).report() == run_battery(streams).report()
-    assert len(alive) == len(streams)
+        assert run_battery(range(len(streams)), load).report() == want, workers
+        assert len(alive) == len(range(0, len(streams), workers)), workers
 
 
 def test_battery_report_and_csv():
